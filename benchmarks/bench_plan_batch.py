@@ -1,12 +1,14 @@
-"""Plan-pipeline A/B: batched kernel backend vs. legacy per-run dispatch.
+"""Plan-pipeline cost vs. the dense floor: incremental update / full re-sim.
 
 The execution-plan layer (``repro.core.exec_plan``) compiles each update's
-dirty frontier into one run table per stage and hands whole tables to a
-:class:`~repro.core.kernels.KernelBackend`, replacing the legacy pipeline's
-one-executor-task-per-partition / one-closure-per-block-run dispatch.  The
-payoff is pure overhead removal: both sides execute the *same* numpy kernels
-over the same aligned runs, so any speedup is Python dispatch cost that the
-batch-major path no longer pays.
+dirty frontier into one run table per stage and hands whole tables to
+:class:`~repro.core.kernels.NumpyBatchBackend`.  This benchmark prices that
+path against the cheapest possible full re-simulation of the same circuit:
+:class:`~repro.baselines.StridedDenseSimulator` (reshape + ``tensordot``,
+in-place diagonals).  The headline is ``ratio_vs_floor`` =
+``numpy_ms_per_update / floor_ms``; lower is better, and below 1 the
+incremental update beats re-simulating from scratch.  Both sides run in the
+same process on the same host, so the ratio is robust to runner speed.
 
 The workload maximises dispatch density the way the paper's deep-circuit
 experiments do: a long cascade of single-qubit diagonal/monomial gates on
@@ -14,11 +16,11 @@ the *low* qubits over a small block size, so every stage shatters into many
 tiny partitions (hundreds of runs per stage plan).  Retuning the first
 rotation then dirties the entire downstream cone -- the variational
 inner-loop shape ``update_gate`` exists for.  Timing covers ``update_state``
-only, single worker, so the A/B isolates dispatch, not parallelism.
+only, single worker, so the comparison isolates dispatch, not parallelism.
 
-Results are verified: both sides' ``state()`` must agree to 1e-10.
+Results are verified: the incremental and floor states must agree to 1e-10.
 
-Run directly for a speedup table plus machine-readable JSON::
+Run directly for a table plus machine-readable JSON::
 
     python benchmarks/bench_plan_batch.py [--qubits 12] [--stages 120]
         [--block-size 16] [--cycles 6] [--out BENCH_plan_batch.json]
@@ -36,6 +38,7 @@ import time
 
 import numpy as np
 
+from repro.baselines import StridedDenseSimulator
 from repro.core.circuit import Circuit
 from repro.core.gates import Gate
 from repro.core.simulator import QTaskSimulator
@@ -43,8 +46,12 @@ from repro.core.simulator import QTaskSimulator
 #: gates of the low-qubit cascade; rz stages are the retune targets
 _CASCADE = ["rz", "x", "rz", "y"]
 
+#: ceiling on the median ratio_vs_floor; 1.5x the ratio recorded at landing
+#: (the manifest's CI size passes its own ceiling)
+DEFAULT_MAX_RATIO = 87.0
 
-def build_cascade(num_qubits, num_stages, *, block_size, kernel_backend):
+
+def build_cascade(num_qubits, num_stages, *, block_size):
     """H wall, then ``num_stages`` single-qubit gates on the low qubits."""
     ckt = Circuit(num_qubits)
     levels = [[Gate("h", (q,)) for q in range(num_qubits)]]
@@ -54,72 +61,52 @@ def build_cascade(num_qubits, num_stages, *, block_size, kernel_backend):
         params = (0.1 + 0.001 * i,) if name == "rz" else ()
         levels.append([Gate(name, (qubit,), params)])
     ckt.from_levels(levels)
-    sim = QTaskSimulator(
-        ckt,
-        block_size=block_size,
-        num_workers=1,
-        kernel_backend=kernel_backend,
-    )
+    sim = QTaskSimulator(ckt, block_size=block_size, num_workers=1)
     return ckt, sim
 
 
-def run_mode(num_qubits, num_stages, *, block_size, cycles, kernel_backend):
-    """One A/B side: full build + timed head-retune update cycles.
-
-    Returns (update_seconds, full_build_seconds, state, stats).
-    """
-    ckt, sim = build_cascade(
-        num_qubits, num_stages,
-        block_size=block_size, kernel_backend=kernel_backend,
-    )
+def run_once(num_qubits=12, num_stages=120, block_size=16, cycles=6):
+    """Full build + timed head-retune cycles, each priced against the floor."""
+    ckt, sim = build_cascade(num_qubits, num_stages, block_size=block_size)
+    floor = StridedDenseSimulator(ckt)
     try:
         t0 = time.perf_counter()
         sim.update_state()
         full = time.perf_counter() - t0
+        floor.update_state()  # warm-up: keep first-call costs out of floor_ms
 
         handle = next(h for h in ckt.gates() if h.gate.name == "rz")
         update_time = 0.0
+        floor_time = 0.0
         for cycle in range(cycles):
             ckt.update_gate(handle, 0.5 + 0.01 * cycle)
             t0 = time.perf_counter()
             sim.update_state()
             update_time += time.perf_counter() - t0
-        return update_time, full, sim.state(), sim.statistics()
+            t0 = time.perf_counter()
+            floor.update_state()
+            floor_time += time.perf_counter() - t0
+        state_diff = float(np.abs(sim.state() - floor.state()).max())
+        stats = sim.statistics()
     finally:
         sim.close()
-
-
-def run_ab(num_qubits=12, num_stages=120, block_size=16, cycles=6):
-    """Both sides, equality checks, and the result record."""
-    legacy_t, legacy_full, legacy_state, _ = run_mode(
-        num_qubits, num_stages, block_size=block_size, cycles=cycles,
-        kernel_backend="legacy",
-    )
-    numpy_t, numpy_full, numpy_state, stats = run_mode(
-        num_qubits, num_stages, block_size=block_size, cycles=cycles,
-        kernel_backend="numpy",
-    )
-    state_diff = float(np.abs(numpy_state - legacy_state).max())
+    numpy_ms = 1e3 * update_time / cycles
+    floor_ms = 1e3 * floor_time / cycles
     return {
         "benchmark": "plan_batch",
         "num_qubits": num_qubits,
         "num_stages": num_stages,
         "block_size": block_size,
         "edit_cycles": cycles,
-        "legacy_update_seconds": legacy_t,
-        "numpy_update_seconds": numpy_t,
-        "legacy_ms_per_update": 1e3 * legacy_t / cycles,
-        "numpy_ms_per_update": 1e3 * numpy_t / cycles,
-        "legacy_full_seconds": legacy_full,
-        "numpy_full_seconds": numpy_full,
-        "speedup_numpy_vs_legacy": (
-            legacy_t / numpy_t if numpy_t > 0 else float("inf")
-        ),
+        "numpy_update_seconds": update_time,
+        "numpy_ms_per_update": numpy_ms,
+        "numpy_full_seconds": full,
+        "floor_ms": floor_ms,
+        "ratio_vs_floor": numpy_ms / floor_ms if floor_ms > 0 else float("inf"),
         "state_max_abs_diff": state_diff,
         "plans_built": stats["plans_built"],
         "runs_batched": stats["runs_batched"],
         "runs_per_plan": stats["runs_per_plan"],
-        "backend": stats["backend"],
     }
 
 
@@ -134,20 +121,15 @@ except ImportError:  # pragma: no cover - direct script execution only
 
 if pytest is not None:
 
-    @pytest.mark.parametrize("backend", ["legacy", "numpy"])
-    def test_plan_batch_update(benchmark, backend):
+    def test_plan_batch_update(benchmark):
         def run():
-            upd, _, _, _ = run_mode(
-                10, 60, block_size=16, cycles=3, kernel_backend=backend
-            )
-            return upd
+            return run_once(10, 60, block_size=16, cycles=3)["numpy_update_seconds"]
 
         benchmark.pedantic(run, rounds=3, iterations=1, warmup_rounds=1)
-        benchmark.extra_info["kernel_backend"] = backend
 
 
 # ---------------------------------------------------------------------------
-# direct execution: speedup table + JSON
+# direct execution: table + JSON
 # ---------------------------------------------------------------------------
 
 
@@ -158,37 +140,36 @@ def main(argv=None):
     parser.add_argument("--block-size", type=int, default=16)
     parser.add_argument("--cycles", type=int, default=6)
     parser.add_argument("--repeats", type=int, default=3,
-                        help="A/B repetitions; the median speedup is reported")
+                        help="repetitions; the median ratio is reported")
     parser.add_argument("--out", default="BENCH_plan_batch.json",
                         help="path for the machine-readable JSON result")
-    parser.add_argument("--min-speedup", type=float, default=1.5,
-                        help="PASS threshold on the median speedup")
+    parser.add_argument("--max-ratio", type=float, default=DEFAULT_MAX_RATIO,
+                        help="PASS ceiling on the median ratio_vs_floor")
     args = parser.parse_args(argv)
 
     runs = [
-        run_ab(args.qubits, args.stages, args.block_size, args.cycles)
+        run_once(args.qubits, args.stages, args.block_size, args.cycles)
         for _ in range(args.repeats)
     ]
-    median = statistics.median(r["speedup_numpy_vs_legacy"] for r in runs)
-    result = dict(min(
-        runs, key=lambda r: abs(r["speedup_numpy_vs_legacy"] - median)
-    ))
-    result["speedup_runs"] = [r["speedup_numpy_vs_legacy"] for r in runs]
-    result["speedup_numpy_vs_legacy"] = median
-    result["min_speedup_target"] = args.min_speedup
+    median = statistics.median(r["ratio_vs_floor"] for r in runs)
+    result = dict(min(runs, key=lambda r: abs(r["ratio_vs_floor"] - median)))
+    result["ratio_runs"] = [r["ratio_vs_floor"] for r in runs]
+    result["ratio_vs_floor"] = median
+    result["max_ratio_target"] = args.max_ratio
+    result["state_max_abs_diff"] = max(r["state_max_abs_diff"] for r in runs)
 
     equal = result["state_max_abs_diff"] <= 1e-10
-    passed = equal and median >= args.min_speedup
+    passed = equal and median <= args.max_ratio
     result["passed"] = passed
 
-    print(f"{'pipeline':<12} {'cycles':>8} {'ms/update':>10}")
-    print(f"{'legacy':<12} {result['edit_cycles']:>8} "
-          f"{result['legacy_ms_per_update']:>10.3f}")
-    print(f"{'plan+numpy':<12} {result['edit_cycles']:>8} "
+    print(f"{'path':<18} {'cycles':>8} {'ms/update':>10}")
+    print(f"{'plan+numpy':<18} {result['edit_cycles']:>8} "
           f"{result['numpy_ms_per_update']:>10.3f}")
-    print(f"speedup: {median:.2f}x (runs: "
-          + ", ".join(f"{s:.2f}x" for s in result["speedup_runs"])
-          + f"; target >= {args.min_speedup:.1f}x)")
+    print(f"{'strided dense':<18} {result['edit_cycles']:>8} "
+          f"{result['floor_ms']:>10.3f}")
+    print(f"ratio vs floor: {median:.2f}x (runs: "
+          + ", ".join(f"{s:.2f}x" for s in result["ratio_runs"])
+          + f"; ceiling <= {args.max_ratio:.1f}x)")
     print(f"runs per plan: {result['runs_per_plan']:.1f} "
           f"({result['runs_batched']} runs in {result['plans_built']} plans)")
     print(f"state max |diff|: {result['state_max_abs_diff']:.2e} "

@@ -13,6 +13,10 @@ running on the same machine and runtime as qTask:
 * :class:`QiskitLikeSimulator` -- a generic per-gate operator engine without
   the specialized fast paths (the "slower, more general simulator" role the
   paper's Qiskit numbers exhibit);
+* :class:`StridedDenseSimulator` -- a strided in-place dense engine
+  (reshape + ``tensordot``, in-place diagonals), the cheapest full
+  re-simulation numpy can do and the floor incremental updates are judged
+  against;
 * :class:`DenseReferenceSimulator` -- an intentionally naive full-matrix
   simulator used as ground truth in the test suite.
 
@@ -23,6 +27,7 @@ from .base import BaselineResult, BaselineSimulator
 from .dense import DenseReferenceSimulator
 from .generic import QiskitLikeSimulator
 from .statevector import QulacsLikeSimulator
+from .strided import StridedDenseSimulator
 
 __all__ = [
     "BaselineResult",
@@ -30,4 +35,5 @@ __all__ = [
     "DenseReferenceSimulator",
     "QiskitLikeSimulator",
     "QulacsLikeSimulator",
+    "StridedDenseSimulator",
 ]

@@ -137,10 +137,7 @@ def qtask_factory(
     copy_on_write: bool = True,
     fusion: bool = False,
     max_fused_qubits: int = 4,
-    block_directory: bool = True,
     observable_cache: bool = True,
-    kernel_backend: Optional[str] = None,
-    store_transport: Optional[object] = None,
     name: str = "qTask",
 ) -> SimulatorFactory:
     def build(circuit: Circuit) -> SimulatorAdapter:
@@ -151,10 +148,7 @@ def qtask_factory(
             copy_on_write=copy_on_write,
             fusion=fusion,
             max_fused_qubits=max_fused_qubits,
-            block_directory=block_directory,
             observable_cache=observable_cache,
-            kernel_backend=kernel_backend,
-            store_transport=store_transport,
         )
         return SimulatorAdapter(name, sim, incremental=True)
 

@@ -9,7 +9,6 @@ from .cow import (
     DirectoryReader,
     InitialStateStore,
     MemoryReport,
-    StoreChain,
 )
 from .exceptions import (
     CheckpointError,
@@ -71,7 +70,6 @@ __all__ = [
     "DirectoryReader",
     "InitialStateStore",
     "MemoryReport",
-    "StoreChain",
     "QTaskError",
     "CircuitError",
     "NetDependencyError",

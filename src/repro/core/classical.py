@@ -236,16 +236,5 @@ class OutcomeRecord:
         """Predetermine outcomes per op index (replay/oracle mode)."""
         self._forced.update({int(k): int(v) & 1 for k, v in outcomes.items()})
 
-    def replace_forced(self, outcomes: Mapping[int, int]) -> Dict[int, int]:
-        """Swap the forced-outcome table wholesale, returning the old one.
-
-        Store-transport recovery re-executes the whole circuit with the
-        recorded trajectory forced (so collapses replay instead of
-        redrawing), then restores whatever forcing the caller had.
-        """
-        previous = self._forced
-        self._forced = {int(k): int(v) & 1 for k, v in outcomes.items()}
-        return previous
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"OutcomeRecord(bits={self.bitstring()}, seed={self.seed})"

@@ -8,21 +8,15 @@ write; every other block is implicitly inherited from the closest preceding
 stage that wrote it (ultimately the |0...0> initial state).  This is the
 *copy-on-write data optimization* of §III.F.3.
 
-Two resolution strategies are provided:
-
-* :class:`StoreChain` -- the naive reference: walk an ordered sequence of
-  stores backwards until one holds the block.  O(S) per read for S stages,
-  used by tests/benchmarks as the ground truth and by the simulator's legacy
-  ``block_directory=False`` mode.
-* :class:`BlockDirectory` + :class:`DirectoryReader` -- a simulator-owned
-  index mapping each block id to the ordered list of stage *owners* that have
-  materialised it.  "Which store owns block b as of stage k?" becomes a
-  binary search over b's writers (O(log W), W = writers of b) instead of an
-  O(S) chain walk, and building a per-stage reader is O(1) instead of an
-  O(S) store-list copy.  The directory is maintained incrementally by the
-  stores themselves on every ``write_block``/``drop_block``/``clear`` (stores
-  carry an optional back-reference installed by
-  :meth:`BlockDirectory.attach`).
+Blocks are resolved through :class:`BlockDirectory` +
+:class:`DirectoryReader`: a simulator-owned index mapping each block id to
+the ordered list of stage *owners* that have materialised it.  "Which store
+owns block b as of stage k?" is a binary search over b's writers (O(log W),
+W = writers of b) instead of an O(S) walk over every earlier stage, and
+building a per-stage reader is O(1).  The directory is maintained
+incrementally by the stores themselves on every
+``write_block``/``drop_block``/``clear`` (stores carry an optional
+back-reference installed by :meth:`BlockDirectory.attach`).
 
 Directory entries are kept sorted by the owner's ``seq`` (its position in the
 global stage order).  Stage insertion/removal renumbers seqs, but never
@@ -46,23 +40,10 @@ to the freshly computed array and drops the reference -- copy-on-first-write
 with zero copies at fork time.  :class:`MemoryReport` splits the accounting
 into owned and shared bytes so a fleet of forked sessions can demonstrate
 sublinear memory growth.
-
-Where the block *payloads* live is delegated to a
-:class:`~repro.core.transport.StorageTransport`: the default
-:class:`~repro.core.transport.LocalTransport` keeps the numpy arrays in the
-store's dict (the hot paths short-circuit around the transport entirely, so
-the in-process case pays nothing), while
-:class:`~repro.core.transport.ShardedTransport` places block ranges across
-forked shard processes and the dict holds lightweight handles.  All the
-ownership bookkeeping above -- directory notifications, shared markers,
-export refcounts -- is transport-agnostic; remote stores additionally keep a
-small bounded read cache so plan execution does not re-fetch a block per
-run.
 """
 
 from __future__ import annotations
 
-import contextlib
 import threading
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
@@ -71,12 +52,10 @@ import numpy as np
 
 from . import faults
 from .blocks import BlockRange, block_bounds, num_blocks, validate_block_size
-from .transport import LOCAL_TRANSPORT, StorageTransport, TransportFailure
 
 __all__ = [
     "BlockStore",
     "InitialStateStore",
-    "StoreChain",
     "BlockDirectory",
     "DirectoryReader",
     "MemoryReport",
@@ -84,29 +63,18 @@ __all__ = [
 
 _DTYPE = np.complex128
 
-#: bounded per-store read cache for remote transports (blocks, not bytes);
-#: sized to cover a full MAX_RUN_BLOCKS batch with headroom
-_READ_CACHE_BLOCKS = 128
-
 
 class BlockStore:
     """Sparse per-stage storage of state-vector blocks.
 
     Only blocks written by this stage's partitions are present; everything
-    else resolves to an earlier store through :class:`StoreChain`.
+    else resolves to an earlier store through the :class:`BlockDirectory`.
     """
 
-    def __init__(
-        self,
-        dim: int,
-        block_size: int,
-        transport: Optional[StorageTransport] = None,
-    ) -> None:
+    def __init__(self, dim: int, block_size: int) -> None:
         self.dim = int(dim)
         self.block_size = validate_block_size(block_size)
         self.n_blocks = num_blocks(self.dim, self.block_size)
-        #: block id -> payload handle: the array itself on a local
-        #: transport, an opaque remote handle otherwise
         self._blocks: Dict[int, np.ndarray] = {}
         # Every block has the same length: dim is a power of two, so it is
         # either a multiple of the block size or smaller than one block.
@@ -124,181 +92,6 @@ class BlockStore:
         #: forked sessions release refs from worker threads)
         self._export_refs: Dict[int, int] = {}
         self._export_lock = threading.Lock()
-        #: payload placement; ``_remote`` is the single hot-path branch --
-        #: ``None`` means every read/write goes straight at the dict
-        self.transport: StorageTransport = LOCAL_TRANSPORT
-        self._remote: Optional[StorageTransport] = None
-        self._tid: Optional[int] = None
-        self._read_cache: Dict[int, np.ndarray] = {}
-        #: publish batching (remote only): while a batch is open, writes
-        #: bind the local array into ``_blocks`` and register here; the
-        #: closing of the outermost batch ships every pending block in
-        #: contiguous runs -- one transport round-trip per run instead of
-        #: one per kernel publish
-        self._batch_lock = threading.Lock()
-        self._batch_depth = 0
-        self._pending_publish: set = set()
-        #: bumped by :meth:`forsake_blocks` (under ``_batch_lock``).  Remote
-        #: ships capture the epoch before the round-trip and discard their
-        #: handle rebind when it moved: a straggler chunk racing the
-        #: transport-recovery path must not resurrect remote handles in a
-        #: store that was just forsaken (and possibly rebound to local).
-        self._epoch = 0
-        if transport is not None:
-            self.bind_transport(transport)
-
-    # -- transport binding -------------------------------------------------
-
-    @property
-    def is_remote_backed(self) -> bool:
-        """True when block payloads live outside this process."""
-        return self._remote is not None
-
-    def bind_transport(self, transport: Optional[StorageTransport]) -> None:
-        """Adopt ``transport`` for payload placement.
-
-        Stores are bound when their stage enters a simulator -- before any
-        block is written -- so this is normally a pure attribute swap; held
-        blocks are migrated (materialise + rewrite) for the defensive case.
-        """
-        if transport is None or transport is self.transport:
-            return
-        existing: List[Tuple[int, np.ndarray]] = []
-        if self._blocks:
-            existing = [(b, self.get_block(b)) for b in self.stored_blocks()]
-            for b in tuple(self._shared):
-                self._release_shared(b)
-            if self._remote is not None:
-                try:
-                    self._remote.release(self, tuple(self._blocks))
-                except TransportFailure:  # pragma: no cover - best effort
-                    pass
-            self._blocks.clear()
-        self.transport = transport
-        self._remote = transport if transport.is_remote else None
-        with self._batch_lock:
-            self._pending_publish.clear()
-        self._read_cache.clear()
-        self._tid = transport.attach_store(self) if self._remote is not None else None
-        for b, arr in existing:
-            self.write_block(b, arr, copy=True)
-
-    def forsake_blocks(
-        self, transport: Optional[StorageTransport] = None
-    ) -> None:
-        """Forget every block without any transport round-trips.
-
-        The recovery path after shard loss: the payloads are already gone
-        (dead or respawned-empty shards), so only the local bookkeeping --
-        dict entries, directory ownership, shared markers, export refs --
-        is torn down, and the caller re-executes from the initial state.
-        Optionally rebinds the store to ``transport``.
-        """
-        if self._directory is not None and self._blocks:
-            self._directory._on_clear(self._dir_owner, tuple(self._blocks))
-        self._blocks.clear()
-        self._shared.clear()
-        with self._export_lock:
-            self._export_refs.clear()
-        with self._batch_lock:
-            self._epoch += 1
-            self._pending_publish.clear()
-        self._read_cache.clear()
-        if transport is not None and transport is not self.transport:
-            self.transport = transport
-            self._remote = transport if transport.is_remote else None
-            self._tid = (
-                transport.attach_store(self) if self._remote is not None else None
-            )
-
-    def release_remote(self) -> None:
-        """Free shard-side payloads at store teardown; local stores no-op."""
-        if self._remote is None:
-            return
-        with self._batch_lock:
-            self._pending_publish.clear()
-        self._read_cache.clear()
-        try:
-            self._remote.detach_store(self)
-        except TransportFailure:  # pragma: no cover - teardown best effort
-            pass
-
-    # -- publish batching (remote transports) ------------------------------
-
-    @contextlib.contextmanager
-    def publish_batch(self):
-        """Defer remote publishes until the outermost batch closes.
-
-        Within the batch, written blocks stay as local arrays in ``_blocks``
-        (reads see them directly, exactly as on a local transport); the last
-        exit ships them in contiguous runs.  Concurrent chunk tasks of one
-        stage nest their batches, so a whole stage wave usually ships once.
-        Local stores pay a no-op.
-        """
-        if self._remote is None:
-            yield
-            return
-        with self._batch_lock:
-            self._batch_depth += 1
-        try:
-            yield
-        finally:
-            with self._batch_lock:
-                self._batch_depth -= 1
-                flush = self._batch_depth == 0
-            if flush:
-                self._flush_pending()
-
-    def _flush_pending(self) -> None:
-        """Ship every batched publish, one ``write_range`` per contiguous run.
-
-        The shipped arrays seed the read cache: downstream stages reading a
-        block this stage just published never pay a transport round-trip.
-        """
-        if self._remote is None:
-            return
-        blocks = self._blocks
-        remote = self._remote
-        with self._batch_lock:
-            epoch = self._epoch
-            pending = sorted(
-                b for b in self._pending_publish
-                if isinstance(blocks.get(b), np.ndarray)
-            )
-            self._pending_publish.clear()
-        if not pending:
-            return
-        cache = self._read_cache
-        i = 0
-        while i < len(pending):
-            j = i
-            while j + 1 < len(pending) and pending[j + 1] == pending[j] + 1:
-                j += 1
-            run = pending[i : j + 1]
-            arrays = [blocks[b] for b in run]
-            handles = remote.write_range(self, run[0], arrays)
-            with self._batch_lock:
-                if self._epoch != epoch:
-                    # Forsaken mid-flush (transport recovery on another
-                    # thread); drop the rebinds, re-execution rewrites.
-                    return
-                for b, arr, handle in zip(run, arrays, handles):
-                    cache[b] = arr
-                    blocks[b] = handle
-            i = j + 1
-        while len(cache) > _READ_CACHE_BLOCKS:
-            try:
-                cache.pop(next(iter(cache)))
-            except (StopIteration, KeyError, RuntimeError):  # pragma: no cover
-                break
-
-    def _local_payload(self, block: int) -> Optional[np.ndarray]:
-        """Read-cache hit or pending (batched, unshipped) payload, if any."""
-        got = self._read_cache.get(block)
-        if got is not None:
-            return got
-        held = self._blocks.get(block)
-        return held if isinstance(held, np.ndarray) else None
 
     # -- cross-store sharing (session forking) ----------------------------
 
@@ -317,46 +110,23 @@ class BlockStore:
                 f"and block size, got ({other.dim}, {other.block_size}) "
                 f"vs ({self.dim}, {self.block_size})"
             )
-        if self._remote is not other._remote:
-            # Stores on different transports cannot alias payloads; fall
-            # back to materialised copies (no shared accounting).
-            return self._copy_from(other)
-        if other._remote is not None:
-            # Shard-side aliasing needs every payload shipped first.
-            other._flush_pending()
         blocks = self._blocks
         new_blocks: List[int] = []
         shared_ids: List[int] = []
-        # Published blocks are immutable by contract (kernels allocate
-        # fresh outputs and stores rebind); the transport enforces it for
-        # shared memory (setflags locally, a no-op for immutable shard
-        # payloads).
-        other.transport.seal(other, tuple(other._blocks))
         for b, arr in other._blocks.items():
+            # Published blocks are immutable by contract (kernels allocate
+            # fresh outputs and stores rebind); enforce it for shared memory.
+            arr.setflags(write=False)
             if b not in blocks:
                 new_blocks.append(b)
             self._release_shared(b)
             blocks[b] = arr
             self._shared[b] = other
             shared_ids.append(b)
-        if self._remote is not None and shared_ids:
-            for b in shared_ids:
-                self._read_cache.pop(b, None)
-            self._remote.share(other, self, shared_ids)
         other._export_retain(shared_ids)
         if new_blocks and self._directory is not None:
             self._directory._on_write_many(self._dir_owner, new_blocks)
         return len(shared_ids)
-
-    def _copy_from(self, other: "BlockStore") -> int:
-        """Cross-transport adoption: materialise and rewrite each block."""
-        count = 0
-        for b in other.stored_blocks():
-            arr = other.get_block(b)
-            assert arr is not None
-            self.write_block(b, arr, copy=True)
-            count += 1
-        return count
 
     def _export_retain(self, blocks: Sequence[int]) -> None:
         if not blocks:
@@ -429,29 +199,9 @@ class BlockStore:
         blocks = self._blocks
         is_new = block not in blocks
         self._release_shared(block)
-        if self._remote is not None:
-            if self._batch_depth > 0:
-                # Defer the ship: hold the array locally until the batch
-                # closes.  The flush serialises later, so honour ``copy``.
-                if copy and np.may_share_memory(arr, values):
-                    arr = arr.copy()
-                blocks[block] = arr
-                self._read_cache.pop(block, None)
-                with self._batch_lock:
-                    self._pending_publish.add(block)
-            else:
-                # Serialisation copies regardless, so ``copy`` is moot here.
-                epoch = self._epoch
-                handle = self._remote.write_range(self, block, (arr,))[0]
-                with self._batch_lock:
-                    if self._epoch != epoch:
-                        return  # forsaken mid-ship; discard the handle
-                    blocks[block] = handle
-                self._read_cache.pop(block, None)
-        else:
-            if copy and np.may_share_memory(arr, values):
-                arr = arr.copy()
-            blocks[block] = arr
+        if copy and np.may_share_memory(arr, values):
+            arr = arr.copy()
+        blocks[block] = arr
         if is_new and self._directory is not None:
             self._directory._on_write(self._dir_owner, block)
 
@@ -472,13 +222,7 @@ class BlockStore:
         arr = np.asarray(values, dtype=_DTYPE)
         if arr.ndim != 1:
             raise ValueError(f"expected a 1-D amplitude range, got shape {arr.shape}")
-        if (
-            copy
-            and (self._remote is None or self._batch_depth > 0)
-            and np.may_share_memory(arr, values)
-        ):
-            # Local stores and open batches hold on to the array; only an
-            # immediate ship serialises right away and can skip the copy.
+        if copy and np.may_share_memory(arr, values):
             arr = arr.copy()
         size = self._block_len
         n = arr.shape[0]
@@ -495,47 +239,19 @@ class BlockStore:
             )
         blocks = self._blocks
         new_blocks: List[int] = []
-        if self._remote is not None:
-            views = [arr[offset : offset + size] for offset in range(0, n, size)]
-            if self._batch_depth > 0:
-                handles = views
-                with self._batch_lock:
-                    self._pending_publish.update(range(first, last + 1))
-            else:
-                epoch = self._epoch
-                handles = self._remote.write_range(self, first, views)
-                with self._batch_lock:
-                    if self._epoch != epoch:
-                        return  # forsaken mid-ship; discard the handles
-            cache_pop = self._read_cache.pop
-            for i, block in enumerate(range(first, last + 1)):
-                if block not in blocks:
-                    new_blocks.append(block)
-                self._release_shared(block)
-                blocks[block] = handles[i]
-                cache_pop(block, None)
-        else:
-            block = first
-            for offset in range(0, n, size):
-                if block not in blocks:
-                    new_blocks.append(block)
-                self._release_shared(block)
-                blocks[block] = arr[offset : offset + size]
-                block += 1
+        block = first
+        for offset in range(0, n, size):
+            if block not in blocks:
+                new_blocks.append(block)
+            self._release_shared(block)
+            blocks[block] = arr[offset : offset + size]
+            block += 1
         if new_blocks and self._directory is not None:
             self._directory._on_write_many(self._dir_owner, new_blocks)
 
     def drop_block(self, block: int) -> None:
         if self._blocks.pop(block, None) is not None:
             self._release_shared(block)
-            if self._remote is not None:
-                with self._batch_lock:
-                    self._pending_publish.discard(block)
-                self._read_cache.pop(block, None)
-                try:
-                    self._remote.release(self, (block,))
-                except TransportFailure:  # pragma: no cover - best effort
-                    pass
             if self._directory is not None:
                 self._directory._on_drop(self._dir_owner, block)
 
@@ -544,14 +260,6 @@ class BlockStore:
             self._directory._on_clear(self._dir_owner, tuple(self._blocks))
         for b in tuple(self._shared):
             self._release_shared(b)
-        if self._remote is not None and self._blocks:
-            with self._batch_lock:
-                self._pending_publish.clear()
-            self._read_cache.clear()
-            try:
-                self._remote.release(self, tuple(self._blocks))
-            except TransportFailure:  # pragma: no cover - best effort
-                pass
         self._blocks.clear()
 
     # -- read side --------------------------------------------------------
@@ -560,60 +268,7 @@ class BlockStore:
         return block in self._blocks
 
     def get_block(self, block: int) -> Optional[np.ndarray]:
-        got = self._blocks.get(block)
-        if got is None or self._remote is None:
-            return got
-        local = self._local_payload(block)
-        if local is not None:
-            return local
-        return self._fetch_blocks(block, block)[0]
-
-    def get_block_many(self, first: int, last: int) -> List[np.ndarray]:
-        """Payloads of the contiguous held blocks ``[first, last]``.
-
-        The batched read path of the unified reader: a remote store turns a
-        whole same-owner run into one transport round-trip per shard
-        instead of a fetch per block.
-        """
-        if self._remote is not None:
-            return self._fetch_blocks(first, last)
-        return [self.get_block(b) for b in range(first, last + 1)]
-
-    def prefetch(self, first: int, last: int) -> None:
-        """Warm the read cache with held blocks ``[first, last]`` (remote only)."""
-        if self._remote is not None:
-            self._fetch_blocks(first, last)
-
-    def _fetch_blocks(self, first: int, last: int) -> List[np.ndarray]:
-        """Fetch ``[first, last]`` from the transport, via the read cache.
-
-        Worker threads may race on the cache dict; every operation used is
-        GIL-atomic, so the worst case is a duplicate fetch, never a torn
-        read.
-        """
-        cache = self._read_cache
-        out: List[np.ndarray] = []
-        b = first
-        while b <= last:
-            cached = self._local_payload(b)
-            if cached is not None:
-                out.append(cached)
-                b += 1
-                continue
-            run_end = b
-            while run_end < last and self._local_payload(run_end + 1) is None:
-                run_end += 1
-            fetched = self._remote.read_range(self, b, run_end)
-            out.extend(fetched)
-            for bb, arr in zip(range(b, run_end + 1), fetched):
-                cache[bb] = arr
-            b = run_end + 1
-        while len(cache) > _READ_CACHE_BLOCKS:
-            try:
-                cache.pop(next(iter(cache)))
-            except (StopIteration, KeyError, RuntimeError):  # pragma: no cover
-                break
-        return out
+        return self._blocks.get(block)
 
     def stored_blocks(self) -> Tuple[int, ...]:
         return tuple(sorted(self._blocks))
@@ -689,20 +344,13 @@ class InitialStateStore(BlockStore):
 
 
 class _ResolvingReader:
-    """The one read-side implementation behind every block resolver.
+    """The read side of block resolution.
 
     Subclasses provide ``dim``/``block_size``/``n_blocks`` attributes and a
-    single ``resolve_store`` method; range reads, gathers, full-vector
-    materialisation and remote prefetching all derive from it.  Range reads
-    batch maximal same-owner block runs: a run of never-written blocks
-    becomes one dense zero allocation (:meth:`InitialStateStore.read_dense`)
-    and a run owned by one store becomes one
-    :meth:`BlockStore.get_block_many` call -- which, on a remote transport,
-    is one round-trip per shard instead of one per block.
-
-    Historically :class:`StoreChain` and :class:`DirectoryReader` each
-    carried their own copy of this logic; they are now pure resolution
-    strategies.
+    single ``resolve_store`` method; range reads, gathers and full-vector
+    materialisation derive from it.  Range reads batch maximal same-owner
+    block runs: a run of never-written blocks becomes one dense zero
+    allocation (:meth:`InitialStateStore.read_dense`).
     """
 
     __slots__ = ()
@@ -749,7 +397,8 @@ class _ResolvingReader:
                 rhi = min(hi, (rl + 1) * block_size - 1, self.dim - 1)
                 parts.append(store.read_dense(rlo, rhi))
                 continue
-            for b, blk in zip(range(rf, rl + 1), store.get_block_many(rf, rl)):
+            for b in range(rf, rl + 1):
+                blk = store.get_block(b)
                 blo, bhi = block_bounds(b, block_size, self.dim)
                 s = max(lo, blo) - blo
                 e = min(hi, bhi) - blo
@@ -781,43 +430,6 @@ class _ResolvingReader:
     def full_vector(self) -> np.ndarray:
         """Materialise the whole state vector (mostly for queries/tests)."""
         return self.read_range(0, self.dim - 1)
-
-    def prefetch_blocks(self, first: int, last: int) -> None:
-        """Warm remote read caches for blocks ``[first, last]`` (best effort).
-
-        Resolution groups the range into owner runs so each remote store
-        sees one batched fetch; local stores are skipped entirely.
-        """
-        for store, rf, rl in self.owner_runs(first, last):
-            if store.is_remote_backed:
-                store.prefetch(rf, rl)
-
-
-class StoreChain(_ResolvingReader):
-    """Resolve blocks across an ordered sequence of stores.
-
-    ``stores[0]`` is the oldest (usually an :class:`InitialStateStore`) and
-    ``stores[-1]`` the most recent stage.  Reading block ``b`` walks the chain
-    backwards until a store holds ``b``.
-    """
-
-    def __init__(self, stores: Sequence[BlockStore]) -> None:
-        if not stores:
-            raise ValueError("StoreChain needs at least one store")
-        dims = {s.dim for s in stores}
-        sizes = {s.block_size for s in stores}
-        if len(dims) != 1 or len(sizes) != 1:
-            raise ValueError("all stores in a chain must share dim and block size")
-        self._stores: List[BlockStore] = list(stores)
-        self.dim = stores[0].dim
-        self.block_size = stores[0].block_size
-        self.n_blocks = stores[0].n_blocks
-
-    def resolve_store(self, block: int) -> BlockStore:
-        for store in reversed(self._stores):
-            if store.has_block(block):
-                return store
-        raise LookupError(f"block {block} resolved by no store in the chain")
 
 
 class BlockDirectory:
@@ -972,8 +584,7 @@ class BlockDirectory:
 class DirectoryReader(_ResolvingReader):
     """A :class:`StateReader` view of a directory "as of" one stage.
 
-    Construction is O(1) -- unlike :class:`StoreChain` there is no store
-    list to copy -- and every block lookup is an O(log W) directory
+    Construction is O(1) and every block lookup is an O(log W) directory
     resolution.  ``before_seq`` is exclusive: a stage reads the output of
     stages strictly before it.
     """
@@ -1000,12 +611,6 @@ class MemoryReport:
     (blocks adopted by :meth:`BlockStore.share_from` and not yet rewritten),
     so ``owned_bytes`` is the marginal footprint of this session -- the
     number a fleet of forked sessions sums to show sublinear memory growth.
-
-    On a remote transport, ``transport`` names the placement and ``shards``
-    holds the per-shard occupancy (``shard``/``alive``/``blocks``/
-    ``owned_bytes``/``shared_bytes`` each); the shard-side owned bytes of
-    one session sum to the same total the local transport reports, which
-    the shard-scale benchmark gates on.
     """
 
     num_stores: int
@@ -1015,8 +620,6 @@ class MemoryReport:
     dense_bytes: int
     shared_blocks: int = 0
     shared_bytes: int = 0
-    transport: str = "local"
-    shards: Tuple[Dict[str, int], ...] = ()
 
     @property
     def owned_bytes(self) -> int:
@@ -1035,10 +638,7 @@ class MemoryReport:
         return self.allocated_bytes / 2**30
 
     @staticmethod
-    def from_stores(
-        stores: Iterable[BlockStore],
-        transport: Optional[StorageTransport] = None,
-    ) -> "MemoryReport":
+    def from_stores(stores: Iterable[BlockStore]) -> "MemoryReport":
         stores = list(stores)
         stored = sum(s.num_stored_blocks for s in stores)
         total = sum(s.n_blocks for s in stores)
@@ -1046,12 +646,6 @@ class MemoryReport:
         dense = sum(s.dim * np.dtype(_DTYPE).itemsize for s in stores)
         shared = sum(s.shared_block_count for s in stores)
         shared_b = sum(s.shared_bytes() for s in stores)
-        shards: Tuple[Dict[str, int], ...] = ()
-        name = "local"
-        if transport is not None:
-            name = transport.name
-            if transport.is_remote:
-                shards = tuple(transport.shard_report())
         return MemoryReport(
             num_stores=len(stores),
             stored_blocks=stored,
@@ -1060,6 +654,4 @@ class MemoryReport:
             dense_bytes=dense,
             shared_blocks=shared,
             shared_bytes=shared_b,
-            transport=name,
-            shards=shards,
         )

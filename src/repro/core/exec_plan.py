@@ -1,16 +1,14 @@
 """Batch-major execution plans: the dirty frontier as run tables.
 
-Prior to this module, every incremental update turned each affected
-partition node into its own executor task, and each task spawned one Python
-closure per aligned block run (``Stage.block_tasks``) -- thousands of
-closures, task-graph nodes and dependency counters for a deep dirty cone,
-all dispatched under the GIL.  The plan layer compiles that frontier *once*
+Turning each affected partition node into its own executor task, with one
+Python closure per aligned block run, would mean thousands of closures,
+task-graph nodes and dependency counters for a deep dirty cone, all
+dispatched under the GIL.  The plan layer compiles that frontier *once*
 into a handful of batch-major structures instead:
 
 * :class:`RunSpec` -- one aligned kernel run, described as data (kind,
   amplitude range, qubit tuple, classified action / payload) rather than as
-  a closure.  Stages emit these through ``Stage.emit_runs``, the single
-  shared path behind both the legacy per-run tasks and the plan pipeline.
+  a closure.  Stages emit these through ``Stage.emit_runs``.
 * :class:`RunTable` -- the runs of one stage packed into contiguous arrays
   (``los``/``his``/``op_ids``) plus a deduplicated operation table, the
   shape a vectorised or compiled kernel backend consumes whole.
@@ -19,19 +17,18 @@ into a handful of batch-major structures instead:
   static stages (plain unitary/fused stages, whose runs depend on nothing
   drawn at execution time) the runs are emitted eagerly at plan-build time;
   dynamic and matrix--vector stages defer emission until after their
-  ``prepare`` ran, exactly like the legacy path.
+  ``prepare`` ran.
 * :class:`ExecutionPlan` -- every stage plan of one update plus the
   stage-granular dependency edges derived from the partition graph.
 
 The executors then receive one task per *stage* (optionally split into at
 most ``Executor.subflow_width`` chunk subflows) instead of one per
-partition, and a :class:`~repro.core.kernels.KernelBackend` executes each
-run table in bulk.
+partition, and :class:`~repro.core.kernels.NumpyBatchBackend` executes
+each run table in bulk.
 
 This module is pure data/plumbing: it imports no kernels and no executor,
-so the backend implementations in :mod:`repro.core.kernels` and the
-orchestration in :mod:`repro.core.simulator` can both build on it without
-cycles.
+so the kernels in :mod:`repro.core.kernels` and the orchestration in
+:mod:`repro.core.simulator` can both build on it without cycles.
 """
 
 from __future__ import annotations
@@ -144,35 +141,6 @@ class RunTable:
             idx = np.flatnonzero(self.op_ids == op_id)
             if idx.size:
                 yield op, idx
-
-    def block_spans(self, block_size: int) -> List[Tuple[int, int]]:
-        """Merged, sorted block spans covering every run's amplitude range.
-
-        Remote-backed stores prefetch these before executing a chunk so the
-        chunk pays one transport round-trip per contiguous span instead of
-        one per cache-missing block (address resolution stays block-granular
-        -- this only batches the fetch; aligned runs read within their own
-        range, so the output spans are also the input spans).
-        """
-        n = self.num_runs
-        if n == 0:
-            return []
-        first = self.los // int(block_size)
-        last = self.his // int(block_size)
-        order = np.argsort(first, kind="stable")
-        spans: List[Tuple[int, int]] = []
-        cur_f = int(first[order[0]])
-        cur_l = int(last[order[0]])
-        for i in order[1:]:
-            f = int(first[i])
-            l = int(last[i])
-            if f <= cur_l + 1:
-                cur_l = max(cur_l, l)
-            else:
-                spans.append((cur_f, cur_l))
-                cur_f, cur_l = f, l
-        spans.append((cur_f, cur_l))
-        return spans
 
     def split(self, parts: int) -> List["RunTable"]:
         """At most ``parts`` contiguous sub-tables covering every run.
@@ -324,13 +292,11 @@ class PlanReport:
 
     The :class:`~repro.core.cow.MemoryReport` sibling for execution plans:
     how many plans were compiled, how many runs they batched, how many
-    executor-visible chunks those became, which backend executed them and
-    how often a requested backend had to fall back.  ``runs_per_plan`` is
-    the headline number -- the dispatch work one executor task now absorbs.
+    executor-visible chunks those became and how often a chunk fell back to
+    run-granular execution.  ``runs_per_plan`` is the headline number -- the
+    dispatch work one executor task now absorbs.
     """
 
-    backend: str
-    requested_backend: str
     plans_built: int
     runs_batched: int
     plan_chunks: int
@@ -341,9 +307,6 @@ class PlanReport:
     run_retries: int = 0
     #: whole-update re-executions after a fault escaped every lower layer
     update_retries: int = 0
-    #: circuit-breaker ladder transitions, oldest first; each entry is a
-    #: dict with ``from``/``to``/``reason``/``update`` keys
-    backend_transitions: Tuple[Dict[str, object], ...] = ()
 
     @property
     def runs_per_plan(self) -> float:
@@ -353,8 +316,6 @@ class PlanReport:
 
     def as_dict(self) -> Dict[str, object]:
         return {
-            "backend": self.backend,
-            "requested_backend": self.requested_backend,
             "plans_built": self.plans_built,
             "runs_batched": self.runs_batched,
             "plan_chunks": self.plan_chunks,
@@ -363,5 +324,4 @@ class PlanReport:
             "runs_per_plan": self.runs_per_plan,
             "run_retries": self.run_retries,
             "update_retries": self.update_retries,
-            "backend_transitions": list(self.backend_transitions),
         }

@@ -7,9 +7,8 @@ partitions affected by the modifiers issued since the previous update (found
 by DFS from the frontier list, §III.E), executing them as a Taskflow-style
 task graph on the configured executor.  Stage inputs are resolved through
 the simulator-owned :class:`~repro.core.cow.BlockDirectory` (O(log W) block
-ownership lookups; ``block_directory=False`` falls back to the legacy O(S)
-store-chain walk for A/B comparison), and partition bodies execute as
-batched aligned block runs feeding the strided kernels.
+ownership lookups), and partition bodies execute as batched aligned block
+runs feeding the strided kernels.
 
 The facade class most applications use is :class:`repro.QTask`, which bundles
 a circuit and a simulator behind the paper's Table-II API.
@@ -19,9 +18,7 @@ from __future__ import annotations
 
 import logging
 import math
-import os
 import sys
-import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, TextIO, Tuple
@@ -36,26 +33,12 @@ from .faults import FaultInjected
 from .blocks import BlockRange, DEFAULT_BLOCK_SIZE, num_blocks, validate_block_size
 from .circuit import Circuit, CircuitObserver, GateHandle, NetHandle
 from .classical import OutcomeRecord
-from .cow import (
-    BlockDirectory,
-    DirectoryReader,
-    InitialStateStore,
-    MemoryReport,
-    StoreChain,
-)
+from .cow import BlockDirectory, DirectoryReader, InitialStateStore, MemoryReport
 from .exceptions import CircuitError
 from .exec_plan import ExecutionPlan, PlanReport, StagePlan, build_execution_plan
 from .gates import Gate, compose_actions, is_superposition_gate
 from .graph import PartitionGraph, PartitionNode
-from .kernels import (
-    HAVE_NUMBA,
-    KernelBackend,
-    NumbaBackend,
-    NumpyBatchBackend,
-    execute_run,
-    iter_table_runs,
-    make_backend,
-)
+from .kernels import NumpyBatchBackend, execute_run, iter_table_runs
 from .ops import CGate, MeasureOp, ResetOp, is_dynamic_op
 from .stage import (
     ClassicallyControlledStage,
@@ -67,26 +50,16 @@ from .stage import (
     Stage,
     UnitaryStage,
 )
-from .transport import StorageTransport, TransportFailure, make_transport
 
 __all__ = ["UpdateReport", "QTaskSimulator"]
 
 logger = logging.getLogger(__name__)
-
-#: circuit-breaker degradation ladder, most capable first; a tripped
-#: breaker quarantines the current backend and walks one rung down
-_BACKEND_LADDER: Tuple[str, ...] = ("process", "numba", "numpy", "legacy")
 
 #: bounded per-run re-executions inside the run-granular fallback loop
 _RUN_FAULT_RETRIES = 5
 
 #: bounded whole-update re-executions (the outermost recovery layer)
 _UPDATE_FAULT_RETRIES = 3
-
-#: bounded store-transport recoveries per update: attempt 1 respawns dead
-#: shards, attempt 2 trips the store breaker (sharded -> local), after which
-#: no further TransportFailure is possible -- 3 is pure headroom
-_STORE_RECOVERY_RETRIES = 3
 
 
 @dataclass
@@ -119,21 +92,13 @@ class QTaskSimulator(CircuitObserver):
         copy_on_write: bool = True,
         fusion: bool = False,
         max_fused_qubits: int = 4,
-        block_directory: bool = True,
         observable_cache: bool = True,
-        kernel_backend: Optional[str] = None,
-        store_transport: Optional[object] = None,
         seed: Optional[int] = None,
         tracing: Optional[bool] = None,
     ) -> None:
         self.circuit = circuit
         self.block_size = validate_block_size(block_size)
         self.copy_on_write = bool(copy_on_write)
-        #: Resolve block reads through the O(log W) block directory instead
-        #: of the legacy O(S) store-chain walk.  ``False`` keeps the linear
-        #: chain alive as the pre-directory baseline for A/B benchmarks and
-        #: the directory==chain property tests; results are bit-identical.
-        self.block_directory = bool(block_directory)
         #: Fuse runs of consecutive non-superposition stages into single
         #: diagonal/monomial stages over the union qubit support.  Fusion
         #: relies on the net invariant (gates in one net are qubit-disjoint),
@@ -149,33 +114,9 @@ class QTaskSimulator(CircuitObserver):
         self._owns_executor = executor is None
         self.executor: Executor = executor or make_executor(num_workers)
 
-        #: requested backend spec: "auto" | "numpy" | "numba" | "process" |
-        #: "legacy"; ``None`` defers to the ``QTASK_KERNEL_BACKEND``
-        #: environment variable (default "auto"), which is how CI runs the
-        #: whole suite under each backend without touching call sites.
-        self.kernel_backend = (
-            kernel_backend
-            if kernel_backend is not None
-            else os.environ.get("QTASK_KERNEL_BACKEND", "auto")
-        )
-        self._backend, fell_back = make_backend(self.kernel_backend)
-
-        #: requested store transport spec: "local" | "sharded" (or a
-        #: :class:`~repro.core.transport.StorageTransport` instance);
-        #: ``None`` defers to the ``QTASK_STORE_TRANSPORT`` environment
-        #: variable (default "local"), mirroring the kernel-backend knob so
-        #: CI can run the whole suite against the sharded store without
-        #: touching call sites.
-        self.store_transport = (
-            store_transport
-            if store_transport is not None
-            else os.environ.get("QTASK_STORE_TRANSPORT", "local")
-        )
-        self._store_transport, st_fell_back = make_transport(self.store_transport)
-
-        self._init_telemetry(tracing=tracing, fell_back=fell_back)
+        self._backend = NumpyBatchBackend()
+        self._init_telemetry(tracing=tracing)
         self._init_fault_tolerance()
-        self._init_store_state(fell_back=st_fell_back)
 
         self._initial = InitialStateStore(self.dim, self.block_size)
         #: block-ownership index: block id -> stages holding it, seq-sorted.
@@ -239,7 +180,6 @@ class QTaskSimulator(CircuitObserver):
         *,
         tracing: Optional[bool] = None,
         parent: Optional[Telemetry] = None,
-        fell_back: bool = False,
     ) -> None:
         """One telemetry bundle per session; plan counters live in it.
 
@@ -268,8 +208,6 @@ class QTaskSimulator(CircuitObserver):
             "recovery.backend_fallbacks",
             help="chunk executions that fell back run-granular",
         )
-        if fell_back:
-            self._backend_fallbacks.inc()
         self._update_seconds = m.histogram(
             "update.seconds", unit="s", help="update_state wall time"
         )
@@ -278,13 +216,7 @@ class QTaskSimulator(CircuitObserver):
         self._update_event_mark = 0
 
     def _init_fault_tolerance(self) -> None:
-        """Per-session recovery state: retry counters + the circuit breaker."""
-        #: consecutive chunk failures that trip the breaker; tune per session
-        self.breaker_threshold = 3
-        self._breaker_lock = threading.Lock()
-        self._consecutive_chunk_failures = 0
-        #: ladder transitions, oldest first ({from, to, reason, update})
-        self._backend_transitions: List[Dict[str, object]] = []
+        """Per-session recovery state: the bounded-retry counters."""
         m = self.telemetry.metrics
         self._run_retries = m.counter(
             "recovery.run_retries", help="per-run fault retries"
@@ -293,33 +225,6 @@ class QTaskSimulator(CircuitObserver):
             "recovery.update_retries", help="whole-update fault retries"
         )
 
-    def _init_store_state(self, *, fell_back: bool = False) -> None:
-        """Per-session store-transport recovery state (the store breaker)."""
-        #: transport failures that trip the sharded -> local store breaker;
-        #: failure #1 respawns dead shards, failure #threshold falls back
-        self.store_breaker_threshold = 2
-        self._store_failures = 0
-        #: store-breaker transitions, oldest first ({from, to, reason, update})
-        self._store_transitions: List[Dict[str, object]] = []
-        #: the sharded transport this session ever used, if any -- counters
-        #: (remote_reads / bytes_shipped / shard_restarts) keep reporting
-        #: from it even after the breaker swapped the live transport to local
-        self._store_remote = (
-            self._store_transport if self._store_transport.is_remote else None
-        )
-        if fell_back:
-            # "sharded" requested on a fork-less host: record the substitution
-            # the same way the breaker would, minus the event (no telemetry
-            # session is active during construction).
-            self._store_transitions.append(
-                {
-                    "from": "sharded",
-                    "to": self._store_transport.name,
-                    "reason": "transport unavailable",
-                    "update": 0,
-                }
-            )
-
     # ------------------------------------------------------------------
     # lifecycle
     # ------------------------------------------------------------------
@@ -327,12 +232,6 @@ class QTaskSimulator(CircuitObserver):
     def close(self) -> None:
         """Detach from the circuit and release the executor (if owned)."""
         self.circuit.unregister_observer(self)
-        if self._store_transport.is_remote:
-            # Free this session's shard payloads; the shard processes are
-            # module-shared (a fork fleet keeps using them) and are reaped
-            # by shutdown_shard_runtimes() at exit.
-            for stage in self.graph.stages:
-                stage.store.release_remote()
         if self._owns_executor:
             self.executor.close()
 
@@ -363,13 +262,7 @@ class QTaskSimulator(CircuitObserver):
         """
         return self._num_updates, bool(self.graph.frontiers)
 
-    def fork(
-        self,
-        *,
-        executor: Optional[Executor] = None,
-        kernel_backend: Optional[str] = None,
-        store_transport: Optional[object] = None,
-    ) -> "QTaskSimulator":
+    def fork(self, *, executor: Optional[Executor] = None) -> "QTaskSimulator":
         """A child simulator sharing this one's computed state copy-on-write.
 
         The child gets its own circuit (a structural clone with fresh
@@ -401,47 +294,21 @@ class QTaskSimulator(CircuitObserver):
         child.circuit = circuit
         child.block_size = self.block_size
         child.copy_on_write = self.copy_on_write
-        child.block_directory = self.block_directory
         child.fusion = self.fusion
         child.max_fused_qubits = self.max_fused_qubits
         child.dim = self.dim
         child.n_blocks = self.n_blocks
         child._owns_executor = executor is not None
         child.executor = executor if executor is not None else self.executor
-        # The kernel backend is shared by default (backends are stateless or
-        # hold a module-level worker pool), so a run_shots / SweepRunner
-        # fleet funnels every fork's plans through one set of workers; pass
-        # ``kernel_backend`` to give a child a different engine.
-        if kernel_backend is None:
-            child.kernel_backend = self.kernel_backend
-            child._backend = self._backend
-            fell_back = False
-        else:
-            child.kernel_backend = kernel_backend
-            child._backend, fell_back = make_backend(kernel_backend)
-        # The store transport is shared by default: the child's stage stores
-        # adopt the parent's blocks by reference, which only works when both
-        # sides resolve payloads through the same placement (share_from
-        # falls back to copying across transport boundaries).  A fleet of
-        # forks therefore aliases one set of shard payloads; pass
-        # ``store_transport`` to rehome a child explicitly.
-        if store_transport is None:
-            child.store_transport = self.store_transport
-            child._store_transport = self._store_transport
-            st_fell_back = False
-        else:
-            child.store_transport = store_transport
-            child._store_transport, st_fell_back = make_transport(store_transport)
+        child._backend = self._backend
         # The child gets its own registry (counters start at zero) tagged
         # with this session's id, so fleet aggregation can merge fork stats
         # back instead of losing them -- see SweepRunner.merged_metrics().
         child._init_telemetry(
             tracing=self.telemetry.tracer.enabled,
             parent=self.telemetry,
-            fell_back=fell_back,
         )
         child._init_fault_tolerance()
-        child._init_store_state(fell_back=st_fell_back)
         child._initial = InitialStateStore(child.dim, child.block_size)
         child._directory = BlockDirectory(child._initial)
         child.graph = PartitionGraph(
@@ -511,14 +378,12 @@ class QTaskSimulator(CircuitObserver):
     # ------------------------------------------------------------------
 
     def _on_stage_entered(self, stage: Stage) -> None:
-        stage.store.bind_transport(self._store_transport)
         if isinstance(stage, DynamicStage):
             stage.bind_record(self.outcomes)
             if isinstance(stage, ClassicallyControlledStage):
                 stage.bind_clbit_lookup(self._clbit_value_asof)
             self._dynamic_stages[stage.uid] = stage
-        if self.block_directory:
-            self._directory.attach(stage)
+        self._directory.attach(stage)
 
     def _clbit_value_asof(self, bit: int, before_seq: int) -> int:
         """The value of ``bit`` at program point ``before_seq``.
@@ -560,9 +425,7 @@ class QTaskSimulator(CircuitObserver):
             self._restore_clbit(stage.op.clbit)
         elif isinstance(stage, ResetStage):
             self.outcomes.discard_op(stage.op.op_index)
-        if self.block_directory:
-            self._directory.detach(stage)
-        stage.store.release_remote()
+        self._directory.detach(stage)
 
     def _restore_clbit(self, clbit: int) -> None:
         """Rebind ``clbit`` to the last surviving measurement that wrote it."""
@@ -965,120 +828,16 @@ class QTaskSimulator(CircuitObserver):
         try:
             if tel.tracer.enabled:
                 with tel.tracer.span("update") as span:
-                    report = self._update_with_store_recovery()
+                    report = self._update_state_impl()
                     span.set("affected", report.affected_partitions)
                     span.set("block_writes", report.executed_block_writes)
                     span.set("update", self._num_updates - 1)
             else:
-                report = self._update_with_store_recovery()
+                report = self._update_state_impl()
             self._update_seconds.observe(report.elapsed_seconds)
             return report
         finally:
             tsession.deactivate(prev)
-
-    def _update_with_store_recovery(self) -> UpdateReport:
-        """Run the update inside the store-transport recovery envelope.
-
-        With a remote transport, any read or publish can surface a
-        :class:`TransportFailure` (a SIGKILLed shard, an escalated run of
-        ``store.shard`` faults).  Remote payloads are then gone wholesale,
-        so recovery is coarse: :meth:`_recover_store_transport` respawns the
-        dead shards (or, past the store breaker threshold, falls back to
-        the local transport), forsakes every stage store and re-marks every
-        stage a full frontier.  The re-execution replays the *recorded*
-        trajectory -- outcomes are temporarily forced so re-collapses land
-        on the values already observed instead of redrawing -- and the
-        caller's forcing table is restored afterwards.  The local transport
-        cannot fail, so the common path is one straight call.
-        """
-        transport = self._store_transport
-        if not transport.is_remote:
-            return self._update_state_impl()
-        rollback = self.outcomes.snapshot()
-        recorded = self.outcomes.recorded_outcomes()
-        saved_forced: Optional[Dict[int, int]] = None
-        attempt = 0
-        try:
-            if not transport.healthy():
-                self._recover_store_transport(
-                    "shard process died between updates"
-                )
-                saved_forced = self.outcomes.replace_forced(recorded)
-            while True:
-                try:
-                    return self._update_state_impl()
-                except TransportFailure as exc:
-                    attempt += 1
-                    if attempt > _STORE_RECOVERY_RETRIES:
-                        raise
-                    self._recover_store_transport(
-                        f"{type(exc).__name__}: {exc}"
-                    )
-                    self.outcomes.restore(rollback)
-                    forced = self.outcomes.replace_forced(recorded)
-                    if saved_forced is None:
-                        saved_forced = forced
-        finally:
-            if saved_forced is not None:
-                self.outcomes.replace_forced(saved_forced)
-
-    def _recover_store_transport(self, reason: str) -> None:
-        """Respawn-or-fallback after a transport failure, then rebuild.
-
-        A dead shard loses its span and a respawn purges the survivors (one
-        consistent, empty placement for every store on the runtime), so the
-        previously computed blocks are unconditionally gone: every stage
-        store forsakes its bookkeeping and every stage becomes a full
-        frontier for the caller to re-execute.  The first failure respawns;
-        reaching ``store_breaker_threshold`` trips the store breaker, which
-        swaps this session to the local transport for good and emits the
-        same ``breaker.transition`` event the backend ladder uses.
-        """
-        self._store_failures += 1
-        transport = self._store_transport
-        recovered = False
-        if (
-            transport.is_remote
-            and self._store_failures < self.store_breaker_threshold
-        ):
-            try:
-                recovered = transport.respawn_dead()
-            except TransportFailure:  # pragma: no cover - respawn raced
-                recovered = False
-        if not recovered and transport.is_remote:
-            self._store_transport, _ = make_transport("local")
-            transition = {
-                "from": transport.name,
-                "to": self._store_transport.name,
-                "reason": reason,
-                "update": self._num_updates,
-            }
-            self._store_transitions.append(transition)
-            tsession.emit_event("breaker.transition", **transition)
-            logger.warning(
-                "store breaker tripped: transport %r -> %r (%s)",
-                transition["from"],
-                transition["to"],
-                reason,
-            )
-        else:
-            logger.warning(
-                "store transport failure (%s); shards respawned, "
-                "re-executing from the initial state",
-                reason,
-            )
-        tsession.emit_event(
-            "store.recovery",
-            reason=reason,
-            transport=self._store_transport.name,
-            failures=self._store_failures,
-        )
-        target = self._store_transport
-        for stage in self.graph.stages:
-            stage.store.forsake_blocks(target)
-            self.graph.touch_stage_full(stage)
-        # Derived caches hold values computed from the lost blocks.
-        self._notify_dirty(range(self.n_blocks))
 
     def _update_state_impl(self) -> UpdateReport:
         start = time.perf_counter()
@@ -1126,8 +885,7 @@ class QTaskSimulator(CircuitObserver):
         the attempt boundary, because a re-executed collapse would otherwise
         advance its keyed stream one extra draw and fork the trajectory away
         from a clean run's.  Anything the per-run and chunk-level layers
-        could not absorb -- including an exhausted backend ladder -- lands
-        here before giving up.
+        could not absorb lands here before giving up.
         """
         if faults.ACTIVE is None:
             return self._execute(affected)
@@ -1156,55 +914,33 @@ class QTaskSimulator(CircuitObserver):
                         exc,
                     )
 
-    def _reader_for(self, stage: Stage, stage_order: List[Stage]):
-        """The stage-input view: everything written strictly before ``stage``.
-
-        Directory mode returns an O(1) :class:`DirectoryReader` (resolution
-        is an O(log W) lookup per block); legacy mode builds the O(S) store
-        chain the paper's naive formulation implies.
-        """
-        if self.block_directory:
-            return DirectoryReader(self._directory, stage.seq)
-        stores = [self._initial] + [s.store for s in stage_order[: stage.seq]]
-        return StoreChain(stores)
+    def _reader_for(self, stage: Stage) -> DirectoryReader:
+        """The stage-input view: everything written strictly before ``stage``."""
+        return DirectoryReader(self._directory, stage.seq)
 
     def _execute(self, affected: List[PartitionNode]) -> int:
-        stage_order = self.graph.stages
-        if not self.copy_on_write:
-            # Dense mode re-simulates everything: drop previously materialised
-            # blocks so no stale copy can shadow the recomputation.
-            for stage in stage_order:
-                stage.store.clear()
-        if self._backend is not None:
-            return self._execute_plan(affected, stage_order)
-        return self._execute_legacy(affected, stage_order)
-
-    # -- plan pipeline (kernel_backend != "legacy") ---------------------------
-
-    def _execute_plan(
-        self, affected: List[PartitionNode], stage_order: List[Stage]
-    ) -> int:
         """Compile the frontier into one plan per stage and batch-execute it.
 
         One executor task per affected *stage* (not per partition): the task
         runs the stage's ``prepare`` when its sync barrier is affected,
         materialises the stage's run table, and hands it -- split into at
-        most ``Executor.subflow_width`` chunk subflows -- to the kernel
-        backend.  Stage-granular edges reproduce the partition graph's
+        most ``Executor.subflow_width`` chunk subflows -- to
+        :class:`NumpyBatchBackend`.  Stage-granular edges reproduce the partition graph's
         ordering (edges only ever point to later stages).
         """
+        if not self.copy_on_write:
+            # Dense mode re-simulates everything: drop previously materialised
+            # blocks so no stale copy can shadow the recomputation.
+            for stage in self.graph.stages:
+                stage.store.clear()
         tel = self.telemetry
         if tel.tracer.enabled:
             with tel.tracer.span("plan.build") as pspan:
-                plan = build_execution_plan(
-                    affected, lambda stage: self._reader_for(stage, stage_order)
-                )
+                plan = build_execution_plan(affected, self._reader_for)
                 pspan.set("stages", plan.num_stages)
                 pspan.set("runs", plan.total_runs())
         else:
-            plan = build_execution_plan(
-                affected, lambda stage: self._reader_for(stage, stage_order)
-            )
+            plan = build_execution_plan(affected, self._reader_for)
         # Parent span for executor-side task spans: the enclosing ``update``
         # span on this thread (None when tracing is off).
         parent_span = tel.tracer.current_span_id()
@@ -1301,79 +1037,32 @@ class QTaskSimulator(CircuitObserver):
                 "run.chunk",
                 {
                     "stage": sp.stage.label(),
-                    "backend": (
-                        self._backend.name if self._backend is not None
-                        else "legacy"
-                    ),
                     "runs": chunk.num_runs,
                     "amps": amps,
                 },
             ):
-                self._run_plan_chunk_impl(sp, chunk)
-        else:
-            self._run_plan_chunk_impl(sp, chunk)
-
-    def _run_plan_chunk_impl(self, sp: StagePlan, chunk) -> None:
-        store = sp.stage.store
-        if store.is_remote_backed:
-            # Batch-fetch the chunk's input spans into the store read caches
-            # up front: one transport round-trip per contiguous span instead
-            # of one per cache-missing block inside the kernels.
-            prefetch = getattr(sp.reader, "prefetch_blocks", None)
-            if prefetch is not None:
-                for first, last in chunk.block_spans(self.block_size):
-                    prefetch(first, last)
-            # Symmetrically, batch the output side: kernel publishes stay
-            # local for the duration of the chunk and ship in contiguous
-            # runs when the batch closes (one round-trip per run, not one
-            # per publish).
-            with store.publish_batch():
                 self._execute_chunk(sp, chunk)
         else:
             self._execute_chunk(sp, chunk)
 
     def _execute_chunk(self, sp: StagePlan, chunk) -> None:
-        backend = self._backend
-        if backend is None:
-            # The breaker degraded this session to legacy mid-update;
-            # remaining chunks of the in-flight plan run run-granular.
-            self._run_chunk_fallback(sp, chunk)
-            return
         try:
-            backend.execute_plan(sp.reader, sp.stage.store, chunk)
-        except Exception as exc:
-            # Environmental failures (a torn-down worker pool mid-run) and
-            # injected faults must not lose the update: chunk writes are
-            # deterministic overwrites, so re-executing run-granular
-            # in-process is always safe.  Genuine programming errors from a
-            # non-failure-safe backend still propagate.
-            if not backend.failure_safe and not isinstance(exc, FaultInjected):
-                raise
+            self._backend.execute_plan(sp.reader, sp.stage.store, chunk)
+        except FaultInjected as exc:
+            # Chunk writes are deterministic overwrites, so re-executing the
+            # chunk run-granular in-process is always safe.
             self._backend_fallbacks.inc()
             tsession.emit_event(
                 "chunk.fallback",
                 stage=sp.stage.label(),
-                backend=backend.name,
                 reason=f"{type(exc).__name__}: {exc}",
             )
-            with self._breaker_lock:
-                self._consecutive_chunk_failures += 1
-                tripped = (
-                    self._consecutive_chunk_failures >= self.breaker_threshold
-                )
-                if tripped:
-                    self._degrade_backend(f"{type(exc).__name__}: {exc}")
-            if not tripped:
-                logger.warning(
-                    "backend %r failed on a plan chunk (%s); falling back "
-                    "to run-granular execution",
-                    backend.name,
-                    exc,
-                )
+            logger.warning(
+                "plan chunk failed (%s); falling back to run-granular "
+                "execution",
+                exc,
+            )
             self._run_chunk_fallback(sp, chunk)
-        else:
-            with self._breaker_lock:
-                self._consecutive_chunk_failures = 0
 
     def _run_chunk_fallback(self, sp: StagePlan, chunk) -> None:
         """Run-granular chunk execution with bounded per-run fault retries.
@@ -1398,100 +1087,6 @@ class QTaskSimulator(CircuitObserver):
                         stage=sp.stage.label(),
                         attempt=attempt,
                     )
-
-    def _degrade_backend(self, reason: str) -> bool:
-        """Walk the breaker ladder one rung down (caller holds breaker lock).
-
-        Quarantines the current backend for the rest of this session and
-        swaps in the next constructible rung of ``_BACKEND_LADDER``; the
-        transition is recorded for :meth:`plan_report`/:meth:`statistics`.
-        Returns ``False`` only from the bottom rung (legacy), which cannot
-        fail environmentally and has nowhere left to go.
-        """
-        current = self._backend.name if self._backend is not None else "legacy"
-        try:
-            idx = _BACKEND_LADDER.index(current)
-        except ValueError:
-            idx = 0  # custom backend: degrade into the standard ladder
-        for name in _BACKEND_LADDER[idx + 1 :]:
-            if name == "numba" and not HAVE_NUMBA:
-                continue
-            if name == "legacy":
-                self._backend = None
-            elif name == "numba":  # pragma: no cover - needs numba
-                self._backend = NumbaBackend()
-            else:
-                self._backend = NumpyBatchBackend()
-            self._consecutive_chunk_failures = 0
-            transition = {
-                "from": current,
-                "to": name,
-                "reason": reason,
-                "update": self._num_updates,
-            }
-            self._backend_transitions.append(transition)
-            tsession.emit_event("breaker.transition", **transition)
-            logger.warning(
-                "circuit breaker tripped: backend %r -> %r (%s)",
-                current,
-                name,
-                reason,
-            )
-            return True
-        return False
-
-    # -- legacy per-run task path (kernel_backend == "legacy") ----------------
-
-    def _execute_legacy(
-        self, affected: List[PartitionNode], stage_order: List[Stage]
-    ) -> int:
-        readers: Dict[int, object] = {}
-        for node in affected:
-            if node.stage.uid not in readers:
-                readers[node.stage.uid] = self._reader_for(node.stage, stage_order)
-
-        graph = TaskGraph("update_state")
-        tasks: Dict[int, object] = {}
-        block_writes = 0
-
-        for node in affected:
-            reader = readers[node.stage.uid]
-            if node.is_sync:
-                task = graph.emplace(
-                    self._make_sync_body(node, reader), name=node.name()
-                )
-            else:
-                task = graph.emplace(
-                    self._make_partition_body(node, reader), name=node.name()
-                )
-                block_writes += len(node.block_range)
-            tasks[node.uid] = task
-
-        affected_ids = set(tasks)
-        for node in affected:
-            for succ in node.succs:
-                if succ.uid in affected_ids:
-                    tasks[node.uid].precede(tasks[succ.uid])
-
-        self.executor.run(graph)
-
-        if not self.copy_on_write:
-            block_writes += self._fill_dense_blocks(affected, readers)
-        return block_writes
-
-    def _make_sync_body(self, node: PartitionNode, reader):
-        return self._sync_prepare_runner(node.stage, reader)
-
-    def _make_partition_body(self, node: PartitionNode, reader):
-        stage = node.stage
-        block_range = node.block_range
-
-        def body():
-            # One closure per batched block run; single-run subflows are
-            # executed inline by the executors themselves.
-            return stage.block_tasks(reader, block_range)
-
-        return body
 
     def _fill_dense_blocks(
         self,
@@ -1526,12 +1121,9 @@ class QTaskSimulator(CircuitObserver):
     # queries
     # ------------------------------------------------------------------
 
-    def _full_chain(self):
+    def _full_chain(self) -> DirectoryReader:
         """A reader over the final state (all stages applied)."""
-        if self.block_directory:
-            return DirectoryReader(self._directory, sys.maxsize)
-        stores = [self._initial] + [s.store for s in self.graph.stages]
-        return StoreChain(stores)
+        return DirectoryReader(self._directory, sys.maxsize)
 
     def state_reader(self):
         """A block-resolving :class:`StateReader` over the final state.
@@ -1615,29 +1207,16 @@ class QTaskSimulator(CircuitObserver):
         cost, and ``savings_fraction`` the headroom between the two (the
         §III.F.3 copy-on-write saving).
         """
-        return MemoryReport.from_stores(
-            (s.store for s in self.graph.stages),
-            transport=self._store_transport,
-        )
+        return MemoryReport.from_stores(s.store for s in self.graph.stages)
 
     def plan_report(self) -> PlanReport:
         """Dispatch-overhead accounting of the plan pipeline.
 
         The :meth:`memory_report` sibling for execution plans: plans
-        compiled, runs batched into them, executor-visible chunks, the
-        backend that executed them and how often execution fell back (an
-        unavailable requested backend at construction, or a runtime
-        failure of a failure-safe backend).  Under
-        ``kernel_backend="legacy"`` every counter stays zero and the
-        backend reads ``"legacy"``.
+        compiled, runs batched into them, executor-visible chunks and how
+        often a chunk fell back to run-granular execution after a fault.
         """
-        backend = self._backend
-        requested = self.kernel_backend
-        if isinstance(requested, KernelBackend):
-            requested = requested.name
         return PlanReport(
-            backend=backend.name if backend is not None else "legacy",
-            requested_backend=requested,
             plans_built=self._plans_built.value,
             runs_batched=self._runs_batched.value,
             plan_chunks=self._plan_chunks.value,
@@ -1645,7 +1224,6 @@ class QTaskSimulator(CircuitObserver):
             updates_planned=self._updates_planned.value,
             run_retries=self._run_retries.value,
             update_retries=self._update_retries.value,
-            backend_transitions=tuple(dict(t) for t in self._backend_transitions),
         )
 
     def statistics(self) -> Dict[str, object]:
@@ -1653,7 +1231,7 @@ class QTaskSimulator(CircuitObserver):
 
         Combines the partition-graph shape (``num_stages``, ``num_nodes``,
         ``num_edges``, ``num_frontiers``) with the configuration knobs
-        (block size/workers/COW/fusion/directory/observable cache) and the
+        (block size/workers/COW/fusion/observable cache) and the
         outcome of the most recent update (affected partitions, elapsed
         seconds), so benchmark rows and debugging sessions can snapshot one
         dict instead of poking internals.
@@ -1665,7 +1243,6 @@ class QTaskSimulator(CircuitObserver):
                 "num_updates": self._num_updates,
                 "num_workers": self.executor.num_workers,
                 "copy_on_write": self.copy_on_write,
-                "block_directory": self.block_directory,
                 "fusion": self.fusion,
                 "num_fused_stages": self._num_fused,
                 "num_dynamic_stages": self.num_dynamic_stages,
@@ -1677,26 +1254,10 @@ class QTaskSimulator(CircuitObserver):
                 ),
                 "last_affected_partitions": self.last_update.affected_partitions,
                 "last_elapsed_seconds": self.last_update.elapsed_seconds,
-                "store_transport": self._store_transport.name,
-                "store_remote_reads": getattr(
-                    self._store_remote, "remote_reads", 0
-                ),
-                "store_bytes_shipped": getattr(
-                    self._store_remote, "bytes_shipped", 0
-                ),
-                "store_shard_restarts": getattr(
-                    self._store_remote, "shard_restarts", 0
-                ),
-                "store_transitions": len(self._store_transitions),
             }
         )
         stats.update(self.plan_report().as_dict())
-        # Recovery visibility: executor-level fault retries plus whatever
-        # attempt/respawn counters the kernel backend keeps (the process
-        # backend reports shipping retries, pool respawns and timeouts).
         stats["task_retries"] = getattr(self.executor, "task_retries", 0)
-        if self._backend is not None:
-            stats.update(self._backend.backend_stats())
         self._refresh_gauges(stats)
         return stats
 
@@ -1704,7 +1265,7 @@ class QTaskSimulator(CircuitObserver):
         """Mirror point-in-time statistics into the registry as gauges.
 
         Counters already live in the registry; the graph shape, last-update
-        outcome and executor/pool mirrors are point-in-time readings, so
+        outcome and executor retry mirror are point-in-time readings, so
         they surface as gauges -- refreshed on every ``statistics()`` /
         ``telemetry_report()`` call rather than written on the hot path.
         """
@@ -1721,26 +1282,13 @@ class QTaskSimulator(CircuitObserver):
             stats["last_elapsed_seconds"]
         )
         m.gauge("executor.task_retries").set(stats["task_retries"])
-        for key in (
-            "shipped_runs", "local_runs",
-            "pool_retries", "pool_respawns", "pool_timeouts",
-        ):
-            if key in stats:
-                m.gauge(f"pool.{key}").set(stats[key])
-        # Transport counters live on the (possibly shared) transport object;
-        # mirror them into this session's registry like the pool stats.
-        m.gauge("store.remote_reads").set(stats["store_remote_reads"])
-        m.gauge("store.bytes_shipped").set(stats["store_bytes_shipped"])
-        m.gauge("store.shard_restarts").set(stats["store_shard_restarts"])
-        m.gauge("store.transitions").set(stats["store_transitions"])
 
     def explain_last_update(self) -> str:
         """A human-readable account of the most recent ``update_state``.
 
         Renders the update report, the plan pipeline's view of it, and --
         the part no counter can answer -- the time-ordered recovery events
-        (faults, retries, fallbacks, breaker transitions, respawns) that
-        fired during the update.
+        (faults, retries, fallbacks) that fired during the update.
         """
         report = self.last_update
         lines = [
@@ -1753,11 +1301,7 @@ class QTaskSimulator(CircuitObserver):
                 f" {report.executed_block_writes} block writes,"
                 f" {report.elapsed_seconds * 1e3:.2f} ms"
             ),
-            (
-                f"  backend {self.plan_report().backend}"
-                f" (requested {self.plan_report().requested_backend}),"
-                f" {self._plan_chunks.value} chunks total"
-            ),
+            f"  {self._plan_chunks.value} plan chunks total",
         ]
         events = self.telemetry.events.events(since=self._update_event_mark)
         if events:

@@ -37,6 +37,7 @@ import json
 import os
 import struct
 import time
+import zlib
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -49,7 +50,7 @@ from .cow import BlockDirectory, InitialStateStore
 from .exceptions import CheckpointError
 from .gates import Gate
 from .graph import PartitionGraph
-from .kernels import KernelBackend, make_backend
+from .kernels import NumpyBatchBackend
 from .ops import CGate, MeasureOp, ResetOp
 from .simulator import QTaskSimulator, UpdateReport
 from .stage import (
@@ -60,12 +61,6 @@ from .stage import (
     ResetStage,
     UnitaryStage,
 )
-from .transport import (
-    TransportFailure,
-    decode_block,
-    encode_block,
-    make_transport,
-)
 
 __all__ = ["CHECKPOINT_MAGIC", "save_checkpoint", "restore_simulator"]
 
@@ -73,6 +68,28 @@ CHECKPOINT_MAGIC = b"QTCKPT01"
 _VERSION = 1
 _DTYPE = np.complex128
 _LEN_STRUCT = struct.Struct("<Q")
+
+
+def encode_block(arr: np.ndarray) -> Tuple[bytes, int]:
+    """Serialise one block to ``(payload, crc32)``."""
+    raw = np.ascontiguousarray(arr, dtype=_DTYPE).tobytes()
+    return raw, zlib.crc32(raw) & 0xFFFFFFFF
+
+
+def decode_block(raw: bytes, crc: int, expect_len: int) -> np.ndarray:
+    """Deserialise one block payload, verifying its CRC and length.
+
+    Returns a read-only array viewing ``raw``; raises :class:`ValueError`
+    on a CRC or length mismatch.
+    """
+    if zlib.crc32(raw) & 0xFFFFFFFF != int(crc):
+        raise ValueError("block payload failed CRC verification")
+    arr = np.frombuffer(raw, dtype=_DTYPE)
+    if arr.shape[0] != expect_len:
+        raise ValueError(
+            f"block payload holds {arr.shape[0]} amplitudes, expected {expect_len}"
+        )
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +119,6 @@ def _encode_op(gate) -> Dict[str, object]:
 def _build_header(sim: QTaskSimulator) -> Tuple[Dict[str, object], List[np.ndarray]]:
     """The JSON header plus the block arrays, in payload order."""
     circuit = sim.circuit
-    requested = sim.kernel_backend
-    if isinstance(requested, KernelBackend):
-        requested = requested.name
 
     nets_json: List[List[Dict[str, object]]] = []
     flat_index: Dict[int, int] = {}
@@ -136,8 +150,6 @@ def _build_header(sim: QTaskSimulator) -> Tuple[Dict[str, object], List[np.ndarr
                     f"stage {stage!r} block {b} has shape {arr.shape}, "
                     f"expected ({block_len},)"
                 )
-            # The checkpoint block codec doubles as the shard wire format
-            # (core/transport): raw complex128 bytes + CRC32 per block.
             raw, crc = encode_block(arr)
             blocks_json.append([int(b), crc])
             payload.append(arr)
@@ -169,10 +181,7 @@ def _build_header(sim: QTaskSimulator) -> Tuple[Dict[str, object], List[np.ndarr
             "copy_on_write": sim.copy_on_write,
             "fusion": sim.fusion,
             "max_fused_qubits": sim.max_fused_qubits,
-            "block_directory": sim.block_directory,
             "observable_cache": sim.observable_cache,
-            "kernel_backend": requested,
-            "store_transport": sim._store_transport.name,
         },
         "num_updates": sim._num_updates,
         "nets": nets_json,
@@ -334,8 +343,6 @@ def restore_simulator(
     *,
     executor: Optional[Executor] = None,
     num_workers: Optional[int] = None,
-    kernel_backend: Optional[str] = None,
-    store_transport: Optional[object] = None,
 ) -> QTaskSimulator:
     """Reconstruct a :class:`QTaskSimulator` from a checkpoint file.
 
@@ -343,9 +350,8 @@ def restore_simulator(
     re-simulation happens) and is immediately editable: subsequent circuit
     modifiers re-simulate incrementally from the loaded blocks, exactly as
     they would have in the original session.  Execution resources are not
-    part of the durable state -- pass ``executor``/``num_workers``/
-    ``kernel_backend`` to override the checkpointed backend spec (the
-    requested backend is restored, not any mid-session degradation).
+    part of the durable state -- pass ``executor``/``num_workers`` to
+    choose them.
 
     Trajectory randomness follows fork semantics: recorded outcomes and
     classical bits are restored verbatim, but the keyed per-op random
@@ -356,6 +362,9 @@ def restore_simulator(
     """
     t0 = time.perf_counter()
     header, payload = _read_file(path)
+    # Checkpoints written before the execution-mode knobs were retired also
+    # carry "block_directory", "kernel_backend" and "store_transport"; they
+    # name modes that no longer exist and are ignored.
     knobs = header["knobs"]
     circuit, handles = _rebuild_circuit(header)
 
@@ -363,30 +372,15 @@ def restore_simulator(
     sim.circuit = circuit
     sim.block_size = int(knobs["block_size"])
     sim.copy_on_write = bool(knobs["copy_on_write"])
-    sim.block_directory = bool(knobs["block_directory"])
     sim.fusion = bool(knobs["fusion"])
     sim.max_fused_qubits = int(knobs["max_fused_qubits"])
     sim.dim = 1 << circuit.num_qubits
     sim.n_blocks = num_blocks(sim.dim, sim.block_size)
     sim._owns_executor = executor is None
     sim.executor = executor if executor is not None else make_executor(num_workers)
-    sim.kernel_backend = (
-        kernel_backend if kernel_backend is not None else knobs["kernel_backend"]
-    )
-    sim._backend, fell_back = make_backend(sim.kernel_backend)
-    # Placement is execution-layer state like the executor: the restored
-    # session re-ships its loaded blocks through whichever transport it is
-    # given (override) or the checkpointed spec.  Old checkpoints predate
-    # the knob and restore as local.
-    sim.store_transport = (
-        store_transport
-        if store_transport is not None
-        else knobs.get("store_transport", "local")
-    )
-    sim._store_transport, st_fell_back = make_transport(sim.store_transport)
-    sim._init_telemetry(fell_back=fell_back)
+    sim._backend = NumpyBatchBackend()
+    sim._init_telemetry()
     sim._init_fault_tolerance()
-    sim._init_store_state(fell_back=st_fell_back)
 
     sim._initial = InitialStateStore(sim.dim, sim.block_size)
     sim._directory = BlockDirectory(sim._initial)
@@ -454,7 +448,7 @@ def restore_simulator(
                 )
             try:
                 arr = decode_block(chunk, crc, block_len)
-            except TransportFailure as exc:
+            except ValueError as exc:
                 raise CheckpointError(
                     f"checksum mismatch on block {b} of stage {stage!r}; "
                     f"checkpoint {path!r} is corrupt"

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -27,12 +27,7 @@ from .classical import OutcomeRecord
 from .cow import BlockStore
 from .exec_plan import RUN_ACTION, RUN_COLLAPSE, RUN_COPY, RUN_SLICE, RunSpec
 from .gates import Action, Gate, MatVecAction, fuse_gate_actions
-from .kernels import (
-    StateReader,
-    apply_gate_dense,
-    execute_run,
-    measured_masses,
-)
+from .kernels import StateReader, apply_gate_dense, measured_masses
 from .ops import CGate
 from .partition import PartitionSpec, derive_partitions, matvec_partitions
 
@@ -113,22 +108,11 @@ class Stage:
     def emit_runs(self, block_range: BlockRange) -> List[RunSpec]:
         """The kernel runs recomputing one partition, as data.
 
-        This is the single shared path behind both execution modes: the
-        legacy per-run task path wraps each spec in a closure
-        (:meth:`block_tasks`), and the plan pipeline packs them into a
-        :class:`~repro.core.exec_plan.RunTable` for a kernel backend.
+        The plan pipeline packs them into a
+        :class:`~repro.core.exec_plan.RunTable`, and
+        :func:`~repro.core.kernels.execute_run` executes one of them.
         """
         raise NotImplementedError
-
-    def block_tasks(
-        self, reader: StateReader, block_range: BlockRange
-    ) -> List[Callable[[], None]]:
-        """Callables that compute and store the blocks of one partition."""
-        store = self.store
-        return [
-            (lambda spec=spec: execute_run(reader, store, spec))
-            for spec in self.emit_runs(block_range)
-        ]
 
     def prepare(self, reader: StateReader) -> None:
         """Hook executed once per update before the stage's block tasks."""
@@ -150,10 +134,7 @@ class Stage:
         """Store an entire state vector (used by non-COW mode and matvec).
 
         Publishes through :meth:`~repro.core.cow.BlockStore.write_range`,
-        the single transport-mediated path: with a remote store transport
-        the vector is split into per-block payloads and shipped to the
-        owning shards in one round-trip per shard, never held as local
-        arrays.
+        which copies the vector once and stores per-block views of it.
         """
         arr = np.asarray(vector).reshape(-1)
         if arr.shape[0] != self.dim:

@@ -71,8 +71,6 @@ class SweepRunner:
         observable=None,
         num_forks: Optional[int] = None,
         nested_parallelism: bool = False,
-        kernel_backend: Optional[str] = None,
-        store_transport: Optional[object] = None,
     ) -> None:
         self.session = session
         self.handles = list(handles)
@@ -80,15 +78,6 @@ class SweepRunner:
         if num_forks is not None and num_forks < 1:
             raise ValueError(f"num_forks must be positive, got {num_forks}")
         self.num_forks = num_forks
-        #: kernel backend handed to every fleet member; ``None`` inherits the
-        #: base session's backend object (the default -- with the process
-        #: backend the whole fleet then shares one set of fork workers, which
-        #: is what lets a sweep scale with real cores instead of the GIL).
-        self.kernel_backend = kernel_backend
-        #: store transport handed to every fleet member; ``None`` inherits
-        #: the base session's transport *object*, so a sharded fleet aliases
-        #: one set of shard payloads instead of spawning processes per fork.
-        self.store_transport = store_transport
         #: with False (default) each fork updates on its own
         #: SequentialExecutor -- one sweep point is one coarse task and the
         #: shared pool parallelises *across* forks, which is both faster
@@ -159,11 +148,7 @@ class SweepRunner:
             self._forks.clear()
         while len(self._forks) < wanted:
             inner = None if self.nested_parallelism else SequentialExecutor()
-            child = self.session.fork(
-                executor=inner,
-                kernel_backend=self.kernel_backend,
-                store_transport=self.store_transport,
-            )
+            child = self.session.fork(executor=inner)
             mirrored = [child.handle_for(h) for h in self.handles]
             self._forks.append((child, mirrored))
         # fork() flushes pending parent modifiers, so read the epoch after.

@@ -52,10 +52,7 @@ class QTask:
         copy_on_write: bool = True,
         fusion: bool = False,
         max_fused_qubits: int = 4,
-        block_directory: bool = True,
         observable_cache: bool = True,
-        kernel_backend: Optional[str] = None,
-        store_transport: Optional[object] = None,
         seed: Optional[int] = None,
         tracing: Optional[bool] = None,
     ) -> None:
@@ -68,10 +65,7 @@ class QTask:
             copy_on_write=copy_on_write,
             fusion=fusion,
             max_fused_qubits=max_fused_qubits,
-            block_directory=block_directory,
             observable_cache=observable_cache,
-            kernel_backend=kernel_backend,
-            store_transport=store_transport,
             seed=seed,
             tracing=tracing,
         )
@@ -88,7 +82,7 @@ class QTask:
         QASMBench-style (one net per structural level, dynamic operations
         serialised per classical bit) and loaded into a fresh session.
         ``knobs`` are the :class:`QTask` constructor keywords (``executor``,
-        ``kernel_backend``, ``seed``, ...).  Call ``update_state()`` to
+        ``fusion``, ``seed``, ...).  Call ``update_state()`` to
         simulate.
         """
         from .qasm.levelize import program_to_circuit
@@ -113,13 +107,7 @@ class QTask:
 
         return cls.from_program(parse_qasm(text), **knobs)
 
-    def fork(
-        self,
-        *,
-        executor: Optional[Executor] = None,
-        kernel_backend: Optional[str] = None,
-        store_transport: Optional[object] = None,
-    ) -> "QTask":
+    def fork(self, *, executor: Optional[Executor] = None) -> "QTask":
         """A cheap child session sharing this session's state copy-on-write.
 
         The child has its own circuit (fresh handles), simulator, block
@@ -144,11 +132,7 @@ class QTask:
         before forking so the inherited state is well defined.
         """
         child = QTask.__new__(QTask)
-        child.simulator = self.simulator.fork(
-            executor=executor,
-            kernel_backend=kernel_backend,
-            store_transport=store_transport,
-        )
+        child.simulator = self.simulator.fork(executor=executor)
         child.circuit = child.simulator.circuit
         child._fork_gate_map = child.simulator.forked_gate_map
         return child
@@ -198,17 +182,13 @@ class QTask:
         *,
         executor: Optional[Executor] = None,
         num_workers: Optional[int] = None,
-        kernel_backend: Optional[str] = None,
-        store_transport: Optional[object] = None,
     ) -> "QTask":
         """Resume a session from a :meth:`checkpoint` file, without re-simulating.
 
         The restored session holds the checkpointed computed state and is
         immediately editable -- subsequent modifiers re-simulate
         incrementally from the loaded blocks.  Execution resources are not
-        durable state: pass ``executor``/``num_workers``/``kernel_backend``
-        to override what the checkpoint requested (a backend the original
-        session had *degraded* to is not restored; the requested spec is).
+        durable state: pass ``executor``/``num_workers`` to choose them.
         Raises :class:`~repro.core.exceptions.CheckpointError` on corrupt,
         truncated or incompatible files.
         """
@@ -216,11 +196,7 @@ class QTask:
 
         session = cls.__new__(cls)
         session.simulator = restore_simulator(
-            path,
-            executor=executor,
-            num_workers=num_workers,
-            kernel_backend=kernel_backend,
-            store_transport=store_transport,
+            path, executor=executor, num_workers=num_workers
         )
         session.circuit = session.simulator.circuit
         session._fork_gate_map = None
@@ -504,10 +480,9 @@ class QTask:
 
         The returned :class:`~repro.core.exec_plan.PlanReport` counts the
         plans compiled across every update so far, the kernel runs batched
-        into them, the executor-visible chunks they were split into, the
-        backend that executed them and any fallbacks -- ``runs_per_plan``
-        is the dispatch work one executor task absorbs compared to the
-        legacy one-task-per-partition path.
+        into them, the executor-visible chunks they were split into and any
+        run-granular fallbacks -- ``runs_per_plan`` is the dispatch work one
+        executor task absorbs compared to one task per partition.
         """
         return self.simulator.plan_report()
 
@@ -515,8 +490,8 @@ class QTask:
         """A flat dict snapshot of the simulator's incremental state.
 
         Includes the partition-graph shape (stages/nodes/edges/frontiers),
-        every configuration knob (block size, workers, COW, fusion, block
-        directory, observable cache, kernel backend) and the last update's
+        every configuration knob (block size, workers, COW, fusion,
+        observable cache) and the last update's
         outcome plus the plan-pipeline counters -- the record benchmarks
         and bug reports attach to a run.
         """
@@ -551,9 +526,8 @@ class QTask:
     def explain_last_update(self) -> str:
         """A human-readable account of the most recent update.
 
-        Shows what the update touched, which backend executed it, and the
-        time-ordered recovery events (injected faults, retries, fallbacks,
-        breaker transitions, pool respawns) that fired during it.
+        Shows what the update touched and the time-ordered recovery events
+        (injected faults, retries, fallbacks) that fired during it.
         """
         return self.simulator.explain_last_update()
 

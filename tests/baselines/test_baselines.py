@@ -7,7 +7,9 @@ from repro.baselines import (
     DenseReferenceSimulator,
     QiskitLikeSimulator,
     QulacsLikeSimulator,
+    StridedDenseSimulator,
 )
+from repro.circuits.catalog import CATALOG, build_benchmark
 from repro.core.circuit import Circuit
 from repro.core.exceptions import CircuitError
 from repro.core.gates import Gate
@@ -35,7 +37,9 @@ def test_baseline_bell_state(cls):
     sim.close()
 
 
-@pytest.mark.parametrize("cls", [QulacsLikeSimulator, QiskitLikeSimulator])
+@pytest.mark.parametrize(
+    "cls", [QulacsLikeSimulator, QiskitLikeSimulator, StridedDenseSimulator]
+)
 def test_baseline_matches_dense_reference_on_random_circuits(cls, rng):
     for trial in range(3):
         n = 5
@@ -164,3 +168,17 @@ def test_qulacs_like_monomial_fast_path_matches_dense(rng):
     sim.update_state()
     assert_states_close(sim.state(), reference_state(n, levels))
     sim.close()
+
+
+# The 11-qubit rows (sat, seca) cost the full-matrix oracle ~27 s together.
+@pytest.mark.parametrize(
+    "name", sorted(n for n, spec in CATALOG.items() if spec.qubits <= 10)
+)
+def test_strided_dense_matches_dense_reference_on_catalog(name):
+    """The floor agrees with the naive full-matrix oracle to 1e-12."""
+    ckt = build_benchmark(name)
+    strided = StridedDenseSimulator(ckt)
+    oracle = DenseReferenceSimulator(ckt)
+    strided.update_state()
+    oracle.update_state()
+    np.testing.assert_allclose(strided.state(), oracle.state(), atol=1e-12, rtol=0)

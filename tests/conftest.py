@@ -10,7 +10,10 @@ import pytest
 
 from repro.core import faults
 from repro.core.circuit import Circuit
+from repro.core.cow import BlockDirectory, BlockStore, DirectoryReader
+from repro.core.faults import FaultInjected
 from repro.core.gates import Gate, embed_gate_matrix
+from repro.core.kernels import NumpyBatchBackend
 
 # ---------------------------------------------------------------------------
 # chaos mode: QTASK_FAULT_P=<p> runs the whole suite under an armed fault
@@ -53,6 +56,46 @@ def reference_state(num_qubits: int, levels: Sequence[Sequence[Gate]]) -> np.nda
 def circuit_levels(circuit: Circuit) -> List[List[Gate]]:
     """Extract the (non-empty) gate levels currently in a circuit."""
     return [[h.gate for h in net.gates] for net in circuit.nets() if net.gates]
+
+
+class _Layer:
+    """A block-directory owner standing in for a stage: a store plus a seq."""
+
+    def __init__(self, seq: int, store: BlockStore) -> None:
+        self.seq = seq
+        self.store = store
+
+
+def layered_reader(initial: BlockStore, *layers: BlockStore) -> DirectoryReader:
+    """A reader over ``initial`` overlaid by ``layers``, oldest first."""
+    directory = BlockDirectory(initial)
+    for seq, store in enumerate(layers):
+        directory.attach(_Layer(seq, store))
+    return DirectoryReader(directory, len(layers))
+
+
+class RunGranularBackend(NumpyBatchBackend):
+    """Rejects every batched chunk with an injected fault.
+
+    Each chunk then runs through the simulator's run-granular fallback, one
+    ``execute_run`` per run: the per-run ("legacy") kernels the batched
+    plan path must agree with.
+    """
+
+    def execute_plan(self, reader, store, table) -> None:
+        raise FaultInjected("kernel.run", 0)
+
+
+#: execution paths the parity tests compare against the dense reference
+BACKENDS = ["legacy", "numpy"]
+
+
+def install_backend(sim, backend: str) -> None:
+    """Route ``sim``'s plan chunks through the named execution path."""
+    if backend == "legacy":
+        sim._backend = RunGranularBackend()
+    elif backend != "numpy":  # pragma: no cover - parametrisation bug
+        raise ValueError(backend)
 
 
 def assert_states_close(actual: np.ndarray, expected: np.ndarray, *, atol: float = 1e-9):

@@ -9,7 +9,6 @@ from repro.core.cow import (
     BlockStore,
     DirectoryReader,
     InitialStateStore,
-    StoreChain,
 )
 
 
@@ -105,18 +104,36 @@ def test_owner_runs_groups_consecutive_blocks():
 
 
 # ---------------------------------------------------------------------------
-# DirectoryReader == StoreChain
+# DirectoryReader == reversed-chain walk
 # ---------------------------------------------------------------------------
+
+
+def _chain_vector(*stores):
+    """The reversed-chain walk: each block from the newest store holding it."""
+    return np.concatenate(
+        [
+            next(s for s in reversed(stores) if s.has_block(b)).get_block(b)
+            for b in range(stores[0].n_blocks)
+        ]
+    )
 
 
 def test_directory_reader_matches_chain():
     init, a, b, d = _directory_with_layers()
-    chain = StoreChain([init, a.store, b.store])
+    chain = _chain_vector(init, a.store, b.store)
+    expected = np.zeros(32, dtype=complex)
+    expected[0] = 1.0
+    expected[4:8] = 10.0
+    expected[8:12] = 99.0
+    np.testing.assert_array_equal(chain, expected)
     reader = DirectoryReader(d, 2)
-    np.testing.assert_array_equal(reader.full_vector(), chain.full_vector())
-    np.testing.assert_array_equal(reader.read_range(5, 11), chain.read_range(5, 11))
+    np.testing.assert_array_equal(reader.full_vector(), chain)
+    np.testing.assert_array_equal(reader.read_range(5, 11), chain[5:12])
     idx = np.array([0, 31, 8, 5, 8, 1], dtype=np.int64)
-    np.testing.assert_array_equal(reader.gather(idx), chain.gather(idx))
+    np.testing.assert_array_equal(reader.gather(idx), chain[idx])
+    np.testing.assert_array_equal(
+        DirectoryReader(d, 1).full_vector(), _chain_vector(init, a.store)
+    )
 
 
 def test_directory_reader_invalid_range():
@@ -210,7 +227,9 @@ def test_initial_read_dense_matches_blocks():
     init = InitialStateStore(32, 4)
     dense = init.read_dense(0, 31)
     assert not init._blocks  # read_dense must not cache zero blocks
-    np.testing.assert_array_equal(dense, StoreChain([init]).full_vector())
+    expected = np.zeros(32, dtype=complex)
+    expected[0] = 1.0
+    np.testing.assert_array_equal(dense, expected)
     np.testing.assert_array_equal(init.read_dense(5, 11), dense[5:12])
     assert init.allocated_bytes() == 0
 

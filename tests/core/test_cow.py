@@ -1,11 +1,13 @@
-"""Tests for the copy-on-write block stores and store chains."""
+"""Tests for the copy-on-write block stores and layered block reads."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cow import BlockStore, InitialStateStore, MemoryReport, StoreChain
+from repro.core.cow import BlockStore, InitialStateStore, MemoryReport
+
+from ..conftest import layered_reader
 
 
 def _store(dim=32, block=4):
@@ -102,7 +104,7 @@ def test_initial_state_store_excluded_from_accounting():
 
 
 # ---------------------------------------------------------------------------
-# StoreChain
+# layered reads: a chain of stores resolved through a DirectoryReader
 # ---------------------------------------------------------------------------
 
 
@@ -114,7 +116,7 @@ def _chain_with_layers():
     a.write_block(2, np.full(4, 20.0, dtype=complex))
     b = BlockStore(32, 4)
     b.write_block(2, np.full(4, 99.0, dtype=complex))
-    return init, a, b, StoreChain([init, a, b])
+    return init, a, b, layered_reader(init, a, b)
 
 
 def test_chain_resolves_most_recent_writer():
@@ -166,13 +168,6 @@ def test_chain_gather_empty():
     assert chain.gather(np.array([], dtype=np.int64)).shape == (0,)
 
 
-def test_chain_requires_consistent_stores():
-    with pytest.raises(ValueError):
-        StoreChain([BlockStore(32, 4), BlockStore(64, 4)])
-    with pytest.raises(ValueError):
-        StoreChain([])
-
-
 def test_chain_read_range_returns_copy():
     _, _, b, chain = _chain_with_layers()
     out = chain.read_range(8, 11)
@@ -202,7 +197,7 @@ def test_chain_gather_property(writes, idx):
             data = np.full(4, value, dtype=complex)
             layers[layer].write_block(block, data)
             dense[block * 4 : block * 4 + 4] = value
-    chain = StoreChain([init] + layers)
+    chain = layered_reader(init, *layers)
     np.testing.assert_allclose(chain.gather(np.array(idx)), dense[np.array(idx)])
 
 

@@ -93,19 +93,12 @@ def _simulator(levels, num_qubits=4, **kwargs):
     circuit = Circuit(num_qubits)
     circuit.from_levels(levels)
     kwargs.setdefault("block_size", 4)
-    kwargs.setdefault("kernel_backend", "legacy")
     return QTaskSimulator(circuit, **kwargs)
 
 
 def _plan_for(sim):
     affected = sim.graph.affected_nodes()
-    stage_order = sim.graph.stages
-    return (
-        build_execution_plan(
-            affected, lambda stage: sim._reader_for(stage, stage_order)
-        ),
-        affected,
-    )
+    return build_execution_plan(affected, sim._reader_for), affected
 
 
 class TestBuildExecutionPlan:
@@ -179,8 +172,6 @@ class TestBuildExecutionPlan:
 class TestPlanReport:
     def test_runs_per_plan(self):
         report = PlanReport(
-            backend="numpy",
-            requested_backend="auto",
             plans_built=4,
             runs_batched=40,
             plan_chunks=4,
@@ -191,5 +182,5 @@ class TestPlanReport:
         assert report.as_dict()["runs_per_plan"] == 10.0
 
     def test_zero_plans_zero_ratio(self):
-        report = PlanReport("legacy", "legacy", 0, 0, 0, 0, 0)
+        report = PlanReport(0, 0, 0, 0, 0)
         assert report.runs_per_plan == 0.0

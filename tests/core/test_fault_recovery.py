@@ -5,9 +5,7 @@ plans from ``repro.core.faults``:
 
 * per-run retries and the chunk fallback (``run_retries``),
 * executor task-body retries (``task_retries``),
-* the circuit-breaker backend degradation ladder (``backend_transitions``),
-* process-pool ship timeouts + pool respawn after a SIGKILLed worker,
-* SharedMemory segment cleanup on every failure path.
+* whole-update retries with trajectory rollback (``update_retries``).
 
 The invariant throughout: with faults firing at every site, the final
 state still equals the dense reference to 1e-10 and every recovery action
@@ -16,7 +14,6 @@ is visible in ``statistics()``.
 
 from __future__ import annotations
 
-import os
 import random
 
 import numpy as np
@@ -25,22 +22,17 @@ import pytest
 from repro.core import faults
 from repro.core.circuit import Circuit
 from repro.core.faults import FaultInjected, FaultPlan
-from repro.core.kernels import (
-    HAVE_NUMBA,
-    KernelBackend,
-    NumbaBackend,
-    NumpyBatchBackend,
-    ProcessPoolBackend,
-)
 from repro.core.simulator import QTaskSimulator
 
-from ..conftest import circuit_levels, random_levels, reference_state
+from ..conftest import (
+    BACKENDS,
+    circuit_levels,
+    install_backend,
+    random_levels,
+    reference_state,
+)
 
 ATOL = 1e-10
-
-needs_fork = pytest.mark.skipif(
-    not hasattr(os, "fork"), reason="fork start method unavailable"
-)
 
 
 @pytest.fixture(autouse=True)
@@ -51,53 +43,26 @@ def _no_leaked_plan():
     faults.install(previous)
 
 
-def _build_sim(num_qubits, levels, *, kernel_backend, num_workers=2, **knobs):
+def _build_sim(num_qubits, levels, *, num_workers=2, **knobs):
     circuit = Circuit(num_qubits)
     circuit.from_levels(levels)
-    return QTaskSimulator(
-        circuit, num_workers=num_workers, kernel_backend=kernel_backend, **knobs
-    )
-
-
-CHAOS_BACKENDS = [
-    pytest.param("legacy", id="legacy"),
-    pytest.param("numpy", id="numpy"),
-    pytest.param(
-        "numba",
-        id="numba",
-        marks=pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed"),
-    ),
-    pytest.param("process", id="process", marks=needs_fork),
-]
-
-
-def _chaos_backend(spec):
-    if spec == "process":
-        # no ship threshold so the fork/SharedMemory path runs even for
-        # these tiny states; short backoff keeps retries cheap
-        return ProcessPoolBackend(num_workers=2, min_ship_amps=0, retry_backoff=0.01)
-    if spec == "numba":  # pragma: no cover - needs numba
-        return NumbaBackend()
-    return spec
+    return QTaskSimulator(circuit, num_workers=num_workers, **knobs)
 
 
 # ---------------------------------------------------------------------------
-# chaos parity: every site firing, every backend, state still exact
+# chaos parity: every site firing, state still exact
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", CHAOS_BACKENDS)
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_chaos_parity_against_dense(backend):
     """p=0.05 at every recoverable site; final states match dense to 1e-10."""
     num_qubits = 6
     rng = random.Random(20260807)
     levels = random_levels(rng, num_qubits, 6)
-    sim = _build_sim(
-        num_qubits, levels, kernel_backend=_chaos_backend(backend), block_size=4
-    )
-    plan = FaultPlan(
-        seed=1, probability=0.05, probabilities={"pool.worker.kill": 0.0}
-    )
+    sim = _build_sim(num_qubits, levels, block_size=4)
+    install_backend(sim, backend)
+    plan = FaultPlan(seed=1, probability=0.05)
     faults.install(plan)
     try:
         sim.update_state()
@@ -124,10 +89,8 @@ def test_chaos_parity_high_rate_numpy():
     num_qubits = 5
     rng = random.Random(99)
     levels = random_levels(rng, num_qubits, 5)
-    sim = _build_sim(num_qubits, levels, kernel_backend="numpy", block_size=4)
-    plan = FaultPlan(
-        seed=3, probability=0.2, probabilities={"pool.worker.kill": 0.0}
-    )
+    sim = _build_sim(num_qubits, levels, block_size=4)
+    plan = FaultPlan(seed=3, probability=0.2)
     faults.install(plan)
     try:
         sim.update_state()
@@ -150,9 +113,7 @@ def test_chaos_replay_is_deterministic():
     def run_once():
         rng = random.Random(4)
         levels = random_levels(rng, 5, 4)
-        sim = _build_sim(
-            5, levels, kernel_backend="numpy", block_size=4, num_workers=1
-        )
+        sim = _build_sim(5, levels, block_size=4, num_workers=1)
         plan = FaultPlan(seed=17, probability=0.15)
         faults.install(plan)
         try:
@@ -177,7 +138,9 @@ def test_run_retries_visible_in_statistics():
     """A scripted publish fault falls back to run-granular and retries."""
     rng = random.Random(12)
     levels = random_levels(rng, 5, 4)
-    sim = _build_sim(5, levels, kernel_backend="numpy", block_size=4)
+    # One worker, so the second scripted fault lands in the fallback of the
+    # chunk that took the first rather than in a concurrent chunk.
+    sim = _build_sim(5, levels, block_size=4, num_workers=1)
     faults.install(FaultPlan(script=[("cow.publish", 1), ("cow.publish", 2)]))
     try:
         sim.update_state()
@@ -194,7 +157,7 @@ def test_run_retries_visible_in_statistics():
 def test_task_retries_visible_in_statistics():
     rng = random.Random(13)
     levels = random_levels(rng, 5, 4)
-    sim = _build_sim(5, levels, kernel_backend="numpy", block_size=4)
+    sim = _build_sim(5, levels, block_size=4)
     faults.install(FaultPlan(script=[("executor.task", 1)]))
     try:
         sim.update_state()
@@ -211,7 +174,7 @@ def test_unrecoverable_fault_storm_raises_fault_injected():
     original fault surfaces (it is never silently swallowed)."""
     rng = random.Random(14)
     levels = random_levels(rng, 4, 3)
-    sim = _build_sim(4, levels, kernel_backend="numpy", block_size=4)
+    sim = _build_sim(4, levels, block_size=4)
     faults.install(FaultPlan(probabilities={"kernel.run": 1.0}))
     try:
         with pytest.raises(FaultInjected):
@@ -229,7 +192,7 @@ def test_unrecoverable_fault_storm_raises_fault_injected():
 def _dynamic_session(seed):
     from repro import QTask
 
-    session = QTask(3, block_size=4, num_workers=1, seed=seed, kernel_backend="numpy")
+    session = QTask(3, block_size=4, num_workers=1, seed=seed)
     c = session.add_classical_register("c", 2)
     net1 = session.insert_net()
     for q in range(3):
@@ -302,123 +265,33 @@ def test_update_level_retry_preserves_trajectory():
 
 
 # ---------------------------------------------------------------------------
-# circuit breaker: a persistently failing backend degrades down the ladder
+# chunk fallback: a faulting batched chunk completes run-granular
 # ---------------------------------------------------------------------------
 
 
-class _BrokenBackend(KernelBackend):
-    """A backend whose plan path always dies with an infrastructure error."""
-
-    name = "broken"
-    failure_safe = True
-
-    def __init__(self):
-        self.attempts = 0
-
-    def execute_plan(self, reader, store, table):
-        self.attempts += 1
-        raise OSError("worker pool torn down")
-
-
-def test_breaker_degrades_persistently_failing_backend():
+def test_kernel_fault_storm_completes_through_chunk_fallback():
+    """Consecutive ``kernel.run`` faults fail the batched chunk and the
+    first run-granular attempts; the chunk completes through the per-run
+    retries, and the next update runs batched again."""
     rng = random.Random(15)
-    levels = random_levels(rng, 5, 6)  # several stages => several chunks
-    broken = _BrokenBackend()
-    sim = _build_sim(5, levels, kernel_backend=broken, block_size=4)
+    levels = random_levels(rng, 5, 6)
+    sim = _build_sim(5, levels, block_size=4, num_workers=1)
+    faults.install(FaultPlan(script=[("kernel.run", i) for i in range(1, 4)]))
     try:
         sim.update_state()
         stats = sim.statistics()
-        # the breaker tripped after breaker_threshold consecutive failures
-        transitions = stats["backend_transitions"]
-        assert transitions, "breaker never tripped"
-        assert transitions[0]["from"] == "broken"
-        assert transitions[0]["to"] in ("numba", "numpy", "legacy")
-        assert "OSError" in transitions[0]["reason"]
-        assert stats["backend_fallbacks"] >= sim.breaker_threshold
-        assert broken.attempts >= sim.breaker_threshold
-        # the session finished on a healthy rung with the exact state
-        assert stats["backend"] != "broken"
+        assert faults.active_plan().total_injected() == 3
+        assert stats["backend_fallbacks"] == 1
+        assert stats["run_retries"] == 2
+        assert stats["update_retries"] == 0
         expected = reference_state(5, levels)
         np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
-        # later updates stay on the degraded rung (quarantine is sticky)
-        before = broken.attempts
         net = sim.circuit.insert_net()
         sim.circuit.insert_gate("h", net, 0)
         sim.update_state()
-        assert broken.attempts == before
+        assert sim.statistics()["backend_fallbacks"] == 1
         expected = reference_state(5, circuit_levels(sim.circuit))
         np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
     finally:
-        sim.close()
-
-
-# ---------------------------------------------------------------------------
-# process pool: SIGKILLed workers, ship timeouts, /dev/shm hygiene
-# ---------------------------------------------------------------------------
-
-
-def _shm_entries():
-    try:
-        return set(os.listdir("/dev/shm"))
-    except OSError:  # pragma: no cover - platform without /dev/shm
-        return None
-
-
-@needs_fork
-def test_sigkilled_worker_is_respawned_and_update_completes():
-    """A worker SIGKILLing itself mid-chunk costs a timeout + respawn, not
-    the update."""
-    rng = random.Random(16)
-    levels = random_levels(rng, 6, 4)
-    backend = ProcessPoolBackend(
-        num_workers=2, min_ship_amps=0, ship_timeout=2.0, retry_backoff=0.01
-    )
-    # pin the local store transport: remote-backed stores deliberately skip
-    # SharedMemory shipping, which is the very path under test here
-    sim = _build_sim(
-        6, levels, kernel_backend=backend, block_size=4, store_transport="local"
-    )
-    faults.install(FaultPlan(script=[("pool.worker.kill", 1)]))
-    try:
-        sim.update_state()
-        stats = sim.statistics()
-        assert stats["pool_timeouts"] >= 1
-        assert stats["pool_respawns"] >= 1
-        assert stats["pool_retries"] >= 1
-        expected = reference_state(6, levels)
-        np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
-    finally:
         faults.uninstall()
         sim.close()
-
-
-@needs_fork
-def test_no_shared_memory_leaks_under_ship_faults():
-    """Every SharedMemory segment is unlinked even when ships/receives die."""
-    before = _shm_entries()
-    if before is None:
-        pytest.skip("no /dev/shm on this platform")
-    rng = random.Random(18)
-    levels = random_levels(rng, 6, 4)
-    backend = ProcessPoolBackend(num_workers=2, min_ship_amps=0, retry_backoff=0.01)
-    sim = _build_sim(
-        6, levels, kernel_backend=backend, block_size=4, store_transport="local"
-    )
-    faults.install(
-        FaultPlan(
-            seed=2,
-            probabilities={"pool.ship": 0.3, "pool.receive": 0.3},
-        )
-    )
-    try:
-        for _ in range(3):
-            net = sim.circuit.insert_net()
-            sim.circuit.insert_gate("h", net, 0)
-            sim.update_state()
-        expected = reference_state(6, circuit_levels(sim.circuit))
-        np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
-    finally:
-        faults.uninstall()
-        sim.close()
-    leaked = _shm_entries() - before
-    assert not leaked, f"leaked shared-memory segments: {sorted(leaked)}"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from repro.core.circuit import Circuit
-from repro.core.cow import InitialStateStore, StoreChain
+from repro.core.cow import InitialStateStore
 from repro.core.gates import (
     DiagonalAction,
     Gate,
@@ -14,11 +14,11 @@ from repro.core.gates import (
     embed_gate_matrix,
     fuse_gate_actions,
 )
-from repro.core.kernels import ArrayReader, apply_action_range
+from repro.core.kernels import ArrayReader, apply_action_range, execute_run
 from repro.core.simulator import QTaskSimulator
 from repro.core.stage import FusedUnitaryStage
 
-from ..conftest import assert_states_close, reference_state
+from ..conftest import assert_states_close, layered_reader, reference_state
 
 
 def dense_op(gates, n):
@@ -122,8 +122,8 @@ def test_fuse_gate_actions_random_runs(rng):
 def run_stage(stage, reader):
     stage.prepare(reader)
     for spec in stage.partition_specs():
-        for task in stage.block_tasks(reader, spec.block_range):
-            task()
+        for run in stage.emit_runs(spec.block_range):
+            execute_run(reader, stage.store, run)
 
 
 def test_fused_stage_matches_dense(np_rng):
@@ -134,9 +134,8 @@ def test_fused_stage_matches_dense(np_rng):
     init = InitialStateStore(16, 4)
     for b in range(4):
         init._blocks[b] = psi[b * 4 : (b + 1) * 4].copy()
-    chain = StoreChain([init])
-    run_stage(stage, chain)
-    out = StoreChain([init, stage.store]).full_vector()
+    run_stage(stage, layered_reader(init))
+    out = layered_reader(init, stage.store).full_vector()
     np.testing.assert_allclose(out, dense_op(gates, n) @ psi, atol=1e-10)
 
 

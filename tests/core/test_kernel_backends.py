@@ -1,26 +1,16 @@
-"""Unit tests for the pluggable kernel backends and their selection."""
+"""Unit tests for the batched kernel backend and its plan statistics."""
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 import pytest
 
 from repro.core.circuit import Circuit
 from repro.core.gates import Gate
-from repro.core.kernels import (
-    HAVE_NUMBA,
-    BackendUnavailable,
-    KernelBackend,
-    NumbaBackend,
-    NumpyBatchBackend,
-    ProcessPoolBackend,
-    available_backends,
-    iter_table_runs,
-    make_backend,
-)
+from repro.core.kernels import NumpyBatchBackend, iter_table_runs
 from repro.core.simulator import QTaskSimulator
+
+from ..conftest import RunGranularBackend, reference_state
 
 
 def _simulator(levels, num_qubits=6, **kwargs):
@@ -43,63 +33,6 @@ def _mixed_levels(num_qubits=6):
 
 
 # ---------------------------------------------------------------------------
-# selection: make_backend / available_backends / env knob
-# ---------------------------------------------------------------------------
-
-
-class TestMakeBackend:
-    def test_numpy(self):
-        backend, fell_back = make_backend("numpy")
-        assert isinstance(backend, NumpyBatchBackend)
-        assert not fell_back
-
-    def test_legacy_is_none(self):
-        backend, fell_back = make_backend("legacy")
-        assert backend is None
-        assert not fell_back
-
-    def test_auto_never_falls_back(self):
-        backend, fell_back = make_backend("auto")
-        assert backend is not None
-        assert not fell_back
-        expected = "numba" if HAVE_NUMBA else "numpy"
-        assert backend.name == expected
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(ValueError):
-            make_backend("cuda")
-
-    def test_numba_without_numba_falls_back_to_numpy(self):
-        if HAVE_NUMBA:
-            pytest.skip("numba installed: no fallback to observe")
-        backend, fell_back = make_backend("numba")
-        assert isinstance(backend, NumpyBatchBackend)
-        assert fell_back
-
-    def test_env_var_drives_default(self, monkeypatch):
-        monkeypatch.setenv("QTASK_KERNEL_BACKEND", "legacy")
-        sim = _simulator([[Gate("h", (0,))]])
-        assert sim.kernel_backend == "legacy"
-        assert sim._backend is None
-        monkeypatch.setenv("QTASK_KERNEL_BACKEND", "numpy")
-        sim2 = _simulator([[Gate("h", (0,))]])
-        assert sim2._backend is not None
-        assert sim2._backend.name == "numpy"
-
-    def test_explicit_knob_beats_env(self, monkeypatch):
-        monkeypatch.setenv("QTASK_KERNEL_BACKEND", "numpy")
-        sim = _simulator([[Gate("h", (0,))]], kernel_backend="legacy")
-        assert sim._backend is None
-
-    def test_available_backends_contents(self):
-        names = available_backends()
-        assert "numpy" in names
-        assert "legacy" in names
-        assert ("numba" in names) == HAVE_NUMBA
-        assert ("process" in names) == hasattr(os, "fork")
-
-
-# ---------------------------------------------------------------------------
 # iter_table_runs
 # ---------------------------------------------------------------------------
 
@@ -114,104 +47,28 @@ def test_iter_table_runs_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# numba backend (interpreted kernels run everywhere; jit needs numba)
+# failure-safe execution: an injected chunk fault degrades, never corrupts
 # ---------------------------------------------------------------------------
 
 
-class TestNumbaBackend:
-    def test_jit_unavailable_raises(self):
-        if HAVE_NUMBA:
-            pytest.skip("numba installed: jit construction succeeds")
-        with pytest.raises(BackendUnavailable):
-            NumbaBackend()
-
-    def test_interpreted_kernels_match_legacy(self):
-        sim = _simulator(_mixed_levels(), kernel_backend="legacy")
-        sim._backend = NumbaBackend(jit=False)
-        sim.update_state()
-        ref = _simulator(_mixed_levels(), kernel_backend="legacy")
-        ref.update_state()
-        np.testing.assert_allclose(sim.state(), ref.state(), atol=1e-10)
-
-
-# ---------------------------------------------------------------------------
-# process-pool backend
-# ---------------------------------------------------------------------------
-
-
-needs_fork = pytest.mark.skipif(
-    not hasattr(os, "fork"), reason="process backend needs the fork start method"
-)
-
-
-@needs_fork
-class TestProcessPoolBackend:
-    def test_forced_shipping_matches_legacy(self):
-        # local store transport: remote-backed stores deliberately bypass
-        # SharedMemory shipping, and shipping is what this test forces
-        sim = _simulator(
-            _mixed_levels(), kernel_backend="legacy", store_transport="local"
-        )
-        sim._backend = ProcessPoolBackend(num_workers=2, min_ship_amps=0)
-        sim.update_state()
-        assert sim._backend.shipped_runs > 0
-        ref = _simulator(_mixed_levels(), kernel_backend="legacy")
-        ref.update_state()
-        np.testing.assert_allclose(sim.state(), ref.state(), atol=1e-10)
-
-    def test_small_tables_stay_in_parent(self):
-        sim = _simulator(_mixed_levels(), kernel_backend="legacy")
-        backend = ProcessPoolBackend(num_workers=2)  # default threshold
-        sim._backend = backend
-        sim.update_state()
-        # every table here is far below min_ship_amps: nothing crosses
-        assert backend.shipped_runs == 0
-
-    def test_single_worker_never_ships(self):
-        sim = _simulator(_mixed_levels(), kernel_backend="legacy")
-        backend = ProcessPoolBackend(num_workers=1, min_ship_amps=0)
-        sim._backend = backend
-        sim.update_state()
-        assert backend.shipped_runs == 0
-
-    def test_worker_count_env(self, monkeypatch):
-        monkeypatch.setenv("QTASK_PROCESS_WORKERS", "3")
-        assert ProcessPoolBackend().num_workers == 3
-
-
-# ---------------------------------------------------------------------------
-# failure-safe execution: a crashing backend degrades, never corrupts
-# ---------------------------------------------------------------------------
-
-
-class _ExplodingBackend(KernelBackend):
-    name = "exploding"
-    failure_safe = True
-
-    def execute_plan(self, reader, store, table):
-        raise RuntimeError("boom")
-
-
-class _FragileBackend(KernelBackend):
-    name = "fragile"
-    failure_safe = False
-
+class _FragileBackend(NumpyBatchBackend):
     def execute_plan(self, reader, store, table):
         raise RuntimeError("boom")
 
 
 class TestFailureSafety:
     def test_failure_safe_backend_falls_back_per_run(self):
-        sim = _simulator(_mixed_levels(), kernel_backend="numpy")
-        sim._backend = _ExplodingBackend()
+        sim = _simulator(_mixed_levels())
+        sim._backend = RunGranularBackend()
         sim.update_state()
-        ref = _simulator(_mixed_levels(), kernel_backend="legacy")
-        ref.update_state()
-        np.testing.assert_allclose(sim.state(), ref.state(), atol=1e-10)
+        np.testing.assert_allclose(
+            sim.state(), reference_state(6, _mixed_levels()), atol=1e-10, rtol=0
+        )
         assert sim.plan_report().backend_fallbacks > 0
 
     def test_non_failure_safe_backend_propagates(self):
-        sim = _simulator(_mixed_levels(), kernel_backend="numpy")
+        # only injected faults are recoverable: a genuine kernel bug surfaces
+        sim = _simulator(_mixed_levels())
         sim._backend = _FragileBackend()
         with pytest.raises(RuntimeError, match="boom"):
             sim.update_state()
@@ -224,7 +81,7 @@ class TestFailureSafety:
 
 class TestPlanStatistics:
     def test_counters_accumulate_across_updates(self):
-        sim = _simulator(_mixed_levels(), kernel_backend="numpy")
+        sim = _simulator(_mixed_levels())
         sim.update_state()
         first = sim.plan_report()
         assert first.updates_planned == 1
@@ -238,25 +95,16 @@ class TestPlanStatistics:
         assert second.plans_built > first.plans_built
 
     def test_statistics_merges_plan_report(self):
-        sim = _simulator(_mixed_levels(), kernel_backend="numpy")
+        sim = _simulator(_mixed_levels())
         sim.update_state()
         stats = sim.statistics()
-        for key in ("backend", "plans_built", "runs_batched", "runs_per_plan"):
-            assert key in stats
-        assert stats["backend"] == "numpy"
-
-    def test_legacy_backend_reports_zero_plans(self):
-        sim = _simulator(_mixed_levels(), kernel_backend="legacy")
-        sim.update_state()
-        report = sim.plan_report()
-        assert report.backend == "legacy"
-        assert report.plans_built == 0
+        report = sim.plan_report().as_dict()
+        for key in ("plans_built", "runs_batched", "runs_per_plan"):
+            assert stats[key] == report[key]
 
     def test_fork_inherits_backend(self):
-        sim = _simulator(_mixed_levels(), kernel_backend="numpy")
+        sim = _simulator(_mixed_levels())
         sim.update_state()
         child = sim.fork()
         assert child._backend is sim._backend
         assert child.plan_report().updates_planned == 0
-        child2 = sim.fork(kernel_backend="legacy")
-        assert child2._backend is None

@@ -59,16 +59,8 @@ KNOB_COMBOS = [
         id="fusion-bs4",
     ),
     pytest.param(
-        dict(block_size=8, block_directory=False),
-        id="chain-bs8",
-    ),
-    pytest.param(
         dict(block_size=4, copy_on_write=False),
         id="dense-bs4",
-    ),
-    pytest.param(
-        dict(block_size=16, fusion=True, block_directory=False),
-        id="fusion-chain-bs16",
     ),
 ]
 
@@ -208,21 +200,52 @@ def test_restored_session_equals_fork_under_identical_edits(tmp_path):
         session.close()
 
 
-def test_restore_kernel_backend_override(tmp_path):
-    """Execution resources are not durable state: the restored session can
-    run on a different backend and still computes the same states."""
+def _patch_header(path, edit):
+    """Rewrite a checkpoint's JSON header in place through ``edit(header)``."""
+    raw = open(path, "rb").read()
+    offset = len(CHECKPOINT_MAGIC)
+    (header_len,) = struct.unpack_from("<Q", raw, offset)
+    header = json.loads(raw[offset + 8 : offset + 8 + header_len].decode("utf-8"))
+    edit(header)
+    new_header = json.dumps(header).encode("utf-8")
+    open(path, "wb").write(
+        raw[:offset]
+        + struct.pack("<Q", len(new_header))
+        + new_header
+        + raw[offset + 8 + header_len :]
+    )
+    return header
+
+
+def test_restore_ignores_retired_execution_knobs(tmp_path):
+    """Checkpoints from before the process/numba/legacy kernels, the store
+    chain and the sharded transport were removed carry their knob keys;
+    restore ignores them and resumes on the one remaining engine."""
     num_qubits = 5
     rng = random.Random(33)
     levels = random_levels(rng, num_qubits, 4)
     path = str(tmp_path / "session.qtckpt")
-    with QTask(num_qubits, block_size=4, num_workers=1, kernel_backend="numpy") as s:
+    with QTask(num_qubits, block_size=4, num_workers=1) as s:
         _fill_session(s, levels)
         s.update_state()
         s.checkpoint(path)
 
-    restored = QTask.restore(path, num_workers=1, kernel_backend="legacy")
+    retired = {
+        "block_directory": False,
+        "kernel_backend": "process",
+        "store_transport": "sharded",
+    }
+
+    def add_retired(header):
+        assert not set(retired) & set(header["knobs"])
+        header["knobs"].update(retired)
+
+    _patch_header(path, add_retired)
+    restored = QTask.restore(path, num_workers=1)
     try:
-        assert restored.statistics()["backend"] == "legacy"
+        assert_states_close(
+            restored.state(), reference_state(num_qubits, levels), atol=1e-10
+        )
         net = restored.insert_net()
         restored.insert_gate("cx", net, 0, num_qubits - 1)
         restored.update_state()
@@ -339,19 +362,7 @@ def test_truncated_header_raises_checkpoint_error(tmp_path):
 
 def test_unknown_version_raises_checkpoint_error(tmp_path):
     path, _ = _checkpointed_session(tmp_path)
-    raw = open(path, "rb").read()
-    offset = len(CHECKPOINT_MAGIC)
-    (header_len,) = struct.unpack_from("<Q", raw, offset)
-    header = json.loads(raw[offset + 8 : offset + 8 + header_len].decode("utf-8"))
-    header["version"] = 999
-    new_header = json.dumps(header).encode("utf-8")
-    patched = (
-        raw[:offset]
-        + struct.pack("<Q", len(new_header))
-        + new_header
-        + raw[offset + 8 + header_len :]
-    )
-    open(path, "wb").write(patched)
+    _patch_header(path, lambda header: header.update(version=999))
     with pytest.raises(CheckpointError, match="version"):
         QTask.restore(path)
 

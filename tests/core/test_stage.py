@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from repro.core.blocks import BlockRange
-from repro.core.cow import InitialStateStore, StoreChain
+from repro.core.cow import InitialStateStore
 from repro.core.gates import Gate, embed_gate_matrix, gate_matrix
+from repro.core.kernels import execute_run
 from repro.core.stage import MatVecStage, UnitaryStage
+
+from ..conftest import layered_reader
 
 
 def make_chain(n, block=4, state=None):
@@ -14,20 +17,19 @@ def make_chain(n, block=4, state=None):
     if state is not None:
         for b in range(init.n_blocks):
             init._blocks[b] = np.array(state[b * block : (b + 1) * block], dtype=complex)
-    return StoreChain([init])
+    return layered_reader(init)
 
 
 def run_stage(stage, reader):
     stage.prepare(reader)
     for spec in stage.partition_specs():
-        for task in stage.block_tasks(reader, spec.block_range):
-            task()
+        for run in stage.emit_runs(spec.block_range):
+            execute_run(reader, stage.store, run)
 
 
 def resolved_output(stage, reader_chain):
     """Stage output with untouched blocks falling through to the input."""
-    chain = StoreChain([reader_chain._stores[0], stage.store])
-    return chain.full_vector()
+    return layered_reader(reader_chain.directory.initial, stage.store).full_vector()
 
 
 # ---------------------------------------------------------------------------

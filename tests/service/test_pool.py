@@ -4,6 +4,7 @@ import threading
 
 import pytest
 
+from repro.core import faults
 from repro.qtask import QTask
 from repro.service import SessionPool
 from repro.telemetry import MetricsRegistry
@@ -61,6 +62,10 @@ def test_forks_are_isolated_from_base():
 
 
 def test_max_sessions_evicts_lru():
+    # LRU is the order among equally stable sessions; under chaos mode an
+    # injected fault marks a session unstable and it is (correctly) evicted
+    # first, so this test runs without the suite-wide fault plan.
+    previous = faults.install(None)
     pool = SessionPool(max_sessions=2)
     try:
         for key in ("a", "b", "c"):
@@ -72,6 +77,7 @@ def test_max_sessions_evicts_lru():
         assert set(pool.keys()) == {"b", "c"}
     finally:
         pool.close()
+        faults.install(previous)
 
 
 def test_memory_budget_evicts_idle_sessions():

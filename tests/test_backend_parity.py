@@ -1,15 +1,14 @@
-"""Backend parity: every kernel backend computes the same states.
+"""Execution-path parity: batched plans and per-run kernels compute the same states.
 
 The plan pipeline must be a pure execution-strategy change: for any circuit,
-any knob combination (fusion, block directory, copy-on-write, block size)
-and any modifier sequence, the batched backends, the legacy per-run path and
-the dense oracle must agree to 1e-10.  Backends that need an unavailable
-runtime (numba jit, fork) skip cleanly instead of failing.
+any knob combination (fusion, copy-on-write, block size) and any modifier
+sequence, the batched ``numpy`` path, the run-granular ``legacy`` path (every
+chunk routed through the per-run fallback) and the dense oracle must agree to
+1e-10.
 """
 
 from __future__ import annotations
 
-import os
 import random
 
 import numpy as np
@@ -18,94 +17,39 @@ import pytest
 from repro import QTask
 from repro.core.circuit import Circuit
 from repro.core.gates import Gate
-from repro.core.kernels import (
-    HAVE_NUMBA,
-    NumbaBackend,
-    NumpyBatchBackend,
-    ProcessPoolBackend,
-)
 from repro.core.simulator import QTaskSimulator
 
-from .conftest import circuit_levels, random_levels, reference_state
+from .conftest import (
+    BACKENDS,
+    circuit_levels,
+    install_backend,
+    random_levels,
+    reference_state,
+)
 
 ATOL = 1e-10
 
 # knob combinations exercising every structural code path the plan layer
-# interacts with: fusion (FusedUnitaryStage emission), the block directory
-# vs legacy store chain (reader construction), COW vs dense stores (the
-# dense back-fill after a plan run) and block sizes from sub-gate to
+# interacts with: fusion (FusedUnitaryStage emission), COW vs dense stores
+# (the dense back-fill after a plan run) and block sizes from sub-gate to
 # whole-state
 KNOB_COMBOS = [
-    pytest.param(
-        dict(fusion=False, block_directory=True, copy_on_write=True, block_size=4),
-        id="defaults-bs4",
-    ),
-    pytest.param(
-        dict(fusion=True, block_directory=True, copy_on_write=True, block_size=4),
-        id="fusion-bs4",
-    ),
-    pytest.param(
-        dict(fusion=False, block_directory=False, copy_on_write=True, block_size=8),
-        id="chain-bs8",
-    ),
-    pytest.param(
-        dict(fusion=True, block_directory=False, copy_on_write=False, block_size=4),
-        id="fusion-chain-dense-bs4",
-    ),
-    pytest.param(
-        dict(fusion=False, block_directory=True, copy_on_write=False, block_size=16),
-        id="dense-bs16",
-    ),
+    pytest.param(dict(fusion=False, copy_on_write=True, block_size=4), id="defaults-bs4"),
+    pytest.param(dict(fusion=True, copy_on_write=True, block_size=4), id="fusion-bs4"),
+    pytest.param(dict(fusion=False, copy_on_write=False, block_size=16), id="dense-bs16"),
 ]
-
-BACKENDS = [
-    pytest.param("legacy", id="legacy"),
-    pytest.param("numpy", id="numpy"),
-    pytest.param("numba-interp", id="numba-interp"),
-    pytest.param(
-        "numba-jit",
-        id="numba-jit",
-        marks=pytest.mark.skipif(not HAVE_NUMBA, reason="numba not installed"),
-    ),
-    pytest.param(
-        "process",
-        id="process",
-        marks=pytest.mark.skipif(
-            not hasattr(os, "fork"), reason="fork start method unavailable"
-        ),
-    ),
-]
-
-
-def _install_backend(sim: QTaskSimulator, backend: str) -> None:
-    """Put the requested backend on a simulator built with ``legacy``."""
-    if backend == "legacy":
-        return
-    if backend == "numpy":
-        sim._backend = NumpyBatchBackend()
-    elif backend == "numba-interp":
-        sim._backend = NumbaBackend(jit=False)
-    elif backend == "numba-jit":
-        sim._backend = NumbaBackend(jit=True)
-    elif backend == "process":
-        # forced shipping: two workers and no size threshold, so the
-        # fork/SharedMemory path runs even for these tiny states
-        sim._backend = ProcessPoolBackend(num_workers=2, min_ship_amps=0)
-    else:  # pragma: no cover - parametrisation bug
-        raise ValueError(backend)
-    sim.kernel_backend = backend
 
 
 def _build(levels, num_qubits, backend, knobs) -> QTaskSimulator:
     circuit = Circuit(num_qubits)
     circuit.from_levels(levels)
-    sim = QTaskSimulator(circuit, kernel_backend="legacy", **knobs)
-    _install_backend(sim, backend)
+    sim = QTaskSimulator(circuit, **knobs)
+    install_backend(sim, backend)
     return sim
 
 
 # ---------------------------------------------------------------------------
-# static circuits: backend == legacy == dense across every knob combo
+# static circuits: every path == dense across every knob combo
 # ---------------------------------------------------------------------------
 
 
@@ -119,6 +63,9 @@ def test_random_circuit_matches_dense(backend, knobs):
     sim.update_state()
     expected = reference_state(num_qubits, levels)
     np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
+    if backend == "legacy":
+        # every chunk really ran run-granular
+        assert sim.plan_report().backend_fallbacks > 0
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -156,7 +103,6 @@ def test_incremental_insert_matches_dense(backend):
 def test_retune_sequence_matches_dense(backend, knobs):
     num_qubits = 5
     circuit = Circuit(num_qubits)
-    handles = []
     levels = []
     for layer in range(3):
         levels.append([Gate("h", (q,)) for q in range(num_qubits)])
@@ -165,12 +111,12 @@ def test_retune_sequence_matches_dense(backend, knobs):
         )
         levels.append([Gate("cx", (q, q + 1)) for q in range(0, num_qubits - 1, 2)])
     circuit.from_levels(levels)
-    sim = QTaskSimulator(circuit, kernel_backend="legacy", **knobs)
-    _install_backend(sim, backend)
+    sim = QTaskSimulator(circuit, **knobs)
+    install_backend(sim, backend)
     sim.update_state()
     handles = [h for h in circuit.gates() if h.gate.name == "rz"]
     rng = random.Random(3)
-    for step in range(3):
+    for _ in range(3):
         for h in rng.sample(handles, 4):
             circuit.update_gate(h, rng.uniform(0, 2 * np.pi))
         sim.update_state()
@@ -179,13 +125,13 @@ def test_retune_sequence_matches_dense(backend, knobs):
 
 
 # ---------------------------------------------------------------------------
-# dynamic circuits: identical trajectories under every backend
+# dynamic circuits: identical trajectories on every path
 # ---------------------------------------------------------------------------
 
 
 def _dynamic_session(seed, backend, **knobs) -> QTask:
     knobs.setdefault("block_size", 4)
-    ckt = QTask(3, num_clbits=2, seed=seed, kernel_backend="legacy", **knobs)
+    ckt = QTask(3, num_clbits=2, seed=seed, **knobs)
     n1, n2, n3, n4, n5 = (ckt.insert_net() for _ in range(5))
     ckt.insert_gate("h", n1, 0)
     ckt.insert_gate("cx", n2, 0, 1)
@@ -194,7 +140,7 @@ def _dynamic_session(seed, backend, **knobs) -> QTask:
     ckt.c_if("x", n4, 2, condition=((0,), 1))
     ckt.reset(n4, 1)
     ckt.measure(n5, 2, 1)
-    _install_backend(ckt.simulator, backend)
+    install_backend(ckt.simulator, backend)
     return ckt
 
 
@@ -214,7 +160,7 @@ def test_dynamic_trajectory_matches_legacy(backend, seed):
 
 
 # ---------------------------------------------------------------------------
-# COW forks: children on any backend agree with their own dense oracle
+# COW forks: children on either path agree with their own dense oracle
 # ---------------------------------------------------------------------------
 
 
@@ -255,22 +201,20 @@ def test_forked_sessions_match_dense(backend):
 
 
 def test_plan_chunking_on_work_stealing_pool():
+    """A wide executor splits run tables into chunk subflows; the state
+    still matches the dense reference."""
     from repro.parallel import WorkStealingExecutor
 
     num_qubits = 6
-    rng = random.Random(5)
-    levels = random_levels(rng, num_qubits, 8)
+    levels = random_levels(random.Random(5), num_qubits, 8)
     executor = WorkStealingExecutor(4)
     try:
         circuit = Circuit(num_qubits)
         circuit.from_levels(levels)
-        sim = QTaskSimulator(
-            circuit, block_size=4, executor=executor, kernel_backend="numpy"
-        )
+        sim = QTaskSimulator(circuit, block_size=4, executor=executor)
         sim.update_state()
         expected = reference_state(num_qubits, levels)
         np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
-        # wide executor -> tables split into multiple chunk subflows
         assert sim.plan_report().plan_chunks >= sim.plan_report().plans_built
     finally:
         executor.close()

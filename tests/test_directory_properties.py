@@ -2,12 +2,11 @@
 
 Two oracles back the O(log W) block directory:
 
-* a *twin simulator* running the legacy ``block_directory=False`` store-chain
-  mode through the same random modifier sequence must produce identical
-  states, and
+* the dense reference: a simulator driven through a random modifier
+  sequence must match it after every update, and
 * after every update, a :class:`DirectoryReader` built "as of" each stage
-  must agree with a freshly constructed naive :class:`StoreChain` over the
-  same stage prefix -- block by block, for the full vector and for gathers.
+  must agree with a naive walk over the same stage prefix, newest store
+  first -- for the full vector and for gathers.
 
 Both are exercised with and without fusion and copy-on-write, on the
 sequential and the work-stealing executor.
@@ -19,9 +18,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core.circuit import Circuit
-from repro.core.cow import DirectoryReader, StoreChain
+from repro.core.cow import DirectoryReader
 from repro.core.simulator import QTaskSimulator
 
+from .conftest import circuit_levels, reference_state
 from .test_properties import _apply_modifier, levels_strategy, modifier_strategy
 
 COMMON_SETTINGS = dict(
@@ -31,23 +31,24 @@ COMMON_SETTINGS = dict(
 )
 
 
+def _naive_block(sim, block, before_seq):
+    """Walk the stages before ``before_seq`` newest-first (the O(S) oracle)."""
+    for stage in reversed(sim.graph.stages[:before_seq]):
+        if stage.store.has_block(block):
+            return stage.store.get_block(block)
+    return sim._initial.get_block(block)
+
+
 def assert_directory_matches_naive_walk(sim: QTaskSimulator) -> None:
     """Directory-resolved reads == reversed-chain walk, for every stage view."""
-    stages = sim.graph.stages
-    stores = [s.store for s in stages]
-    for prefix in range(len(stages) + 1):
-        chain = StoreChain([sim._initial] + stores[:prefix])
+    for prefix in range(len(sim.graph.stages) + 1):
         reader = DirectoryReader(sim._directory, prefix)
-        np.testing.assert_array_equal(reader.full_vector(), chain.full_vector())
-        for b in range(sim.n_blocks):
-            np.testing.assert_array_equal(
-                reader.resolve_block(b), chain.resolve_block(b)
-            )
-    idx = np.arange(sim.dim, dtype=np.int64)[:: max(1, sim.dim // 16)]
-    full = DirectoryReader(sim._directory, len(stages))
-    np.testing.assert_array_equal(
-        full.gather(idx), StoreChain([sim._initial] + stores).gather(idx)
-    )
+        expected = np.concatenate(
+            [_naive_block(sim, b, prefix) for b in range(sim.n_blocks)]
+        )
+        np.testing.assert_array_equal(reader.full_vector(), expected)
+        idx = np.arange(sim.dim, dtype=np.int64)[:: max(1, sim.dim // 16)]
+        np.testing.assert_array_equal(reader.gather(idx), expected[idx])
 
 
 @pytest.mark.parametrize("fusion", [False, True], ids=["unfused", "fused"])
@@ -55,32 +56,23 @@ def assert_directory_matches_naive_walk(sim: QTaskSimulator) -> None:
 @settings(**COMMON_SETTINGS)
 @given(num_qubits=st.integers(2, 4), data=st.data())
 def test_directory_matches_chain_under_modifiers(fusion, cow, num_qubits, data):
-    """Directory and legacy chain modes stay bit-identical through modifiers."""
+    """Directory reads equal the chain walk and the dense state through modifiers."""
     lv = data.draw(levels_strategy(num_qubits))
     mods = data.draw(st.lists(modifier_strategy(), min_size=1, max_size=5))
-    ckt_d, ckt_c = Circuit(num_qubits), Circuit(num_qubits)
-    sim_d = QTaskSimulator(ckt_d, block_size=2, num_workers=1,
-                           copy_on_write=cow, fusion=fusion,
-                           block_directory=True)
-    sim_c = QTaskSimulator(ckt_c, block_size=2, num_workers=1,
-                           copy_on_write=cow, fusion=fusion,
-                           block_directory=False)
-    ckt_d.from_levels(lv)
-    ckt_c.from_levels(lv)
-    sim_d.update_state()
-    sim_c.update_state()
-    np.testing.assert_array_equal(sim_d.state(), sim_c.state())
+    ckt = Circuit(num_qubits)
+    sim = QTaskSimulator(ckt, block_size=2, num_workers=1,
+                         copy_on_write=cow, fusion=fusion)
+    ckt.from_levels(lv)
+    sim.update_state()
     for mod in mods:
-        _apply_modifier(ckt_d, mod, num_qubits)
-        _apply_modifier(ckt_c, mod, num_qubits)
-        sim_d.update_state()
-        sim_c.update_state()
-        np.testing.assert_array_equal(sim_d.state(), sim_c.state())
-        for basis in (0, sim_d.dim - 1):
-            assert sim_d.amplitude(basis) == sim_c.amplitude(basis)
-        assert_directory_matches_naive_walk(sim_d)
-    sim_d.close()
-    sim_c.close()
+        _apply_modifier(ckt, mod, num_qubits)
+        sim.update_state()
+        expected = reference_state(num_qubits, circuit_levels(ckt))
+        np.testing.assert_allclose(sim.state(), expected, atol=1e-10, rtol=0)
+        for basis in (0, sim.dim - 1):
+            assert sim.amplitude(basis) == sim.state()[basis]
+        assert_directory_matches_naive_walk(sim)
+    sim.close()
 
 
 @pytest.mark.parametrize("workers", [1, 3], ids=["sequential", "workstealing"])
@@ -91,8 +83,7 @@ def test_directory_consistent_on_both_executors(workers, num_qubits, data):
     lv = data.draw(levels_strategy(num_qubits))
     mods = data.draw(st.lists(modifier_strategy(), min_size=1, max_size=4))
     ckt = Circuit(num_qubits)
-    sim = QTaskSimulator(ckt, block_size=2, num_workers=workers,
-                         block_directory=True)
+    sim = QTaskSimulator(ckt, block_size=2, num_workers=workers)
     ckt.from_levels(lv)
     sim.update_state()
     for mod in mods:
@@ -108,7 +99,7 @@ def test_directory_purged_after_clearing_circuit(num_qubits, data):
     """Removing every net leaves no stale ownership entries behind."""
     lv = data.draw(levels_strategy(num_qubits))
     ckt = Circuit(num_qubits)
-    sim = QTaskSimulator(ckt, block_size=2, num_workers=1, block_directory=True)
+    sim = QTaskSimulator(ckt, block_size=2, num_workers=1)
     ckt.from_levels(lv)
     sim.update_state()
     for net in list(ckt.nets()):

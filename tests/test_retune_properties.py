@@ -4,8 +4,7 @@ The retune invariant: for any circuit and any parameter change,
 
     ``update_gate``  ==  ``remove_gate`` + ``insert_gate``  ==  dense baseline
 
-to 1e-10, with fusion, copy-on-write and the block directory independently
-on and off -- and the block-wise expectation engine must agree with the
+to 1e-10, with fusion and copy-on-write independently on and off -- and the block-wise expectation engine must agree with the
 dense ground truth on the resulting states.
 """
 
@@ -27,14 +26,12 @@ COMMON_SETTINGS = dict(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
-#: (fusion, copy_on_write, block_directory) corners exercised per example.
+#: (fusion, copy_on_write) corners exercised per example.
 CONFIGS = [
-    (False, True, True),
-    (True, True, True),
-    (False, False, True),
-    (False, True, False),
-    (True, True, False),
-    (True, False, True),
+    (False, True),
+    (True, True),
+    (False, False),
+    (True, False),
 ]
 
 _PARAM_GATES = ["rz", "rx", "ry", "p"]
@@ -77,7 +74,7 @@ def param_levels_strategy(draw, num_qubits, max_levels=4):
     return levels
 
 
-def build(num_qubits, levels, *, fusion, cow, directory):
+def build(num_qubits, levels, *, fusion, cow):
     ckt = Circuit(num_qubits)
     sim = QTaskSimulator(
         ckt,
@@ -85,7 +82,6 @@ def build(num_qubits, levels, *, fusion, cow, directory):
         num_workers=1,
         fusion=fusion,
         copy_on_write=cow,
-        block_directory=directory,
     )
     ckt.from_levels(levels)
     sim.update_state()
@@ -104,12 +100,10 @@ def param_handles(ckt):
 )
 def test_retune_equals_reinsert_equals_dense(num_qubits, data, config):
     """The satellite invariant: retune == remove+insert == dense to 1e-10."""
-    fusion, cow, directory = config
+    fusion, cow = config
     levels = data.draw(param_levels_strategy(num_qubits))
-    ckt_a, sim_a = build(num_qubits, levels, fusion=fusion, cow=cow,
-                         directory=directory)
-    ckt_b, sim_b = build(num_qubits, levels, fusion=fusion, cow=cow,
-                         directory=directory)
+    ckt_a, sim_a = build(num_qubits, levels, fusion=fusion, cow=cow)
+    ckt_b, sim_b = build(num_qubits, levels, fusion=fusion, cow=cow)
     n_edits = data.draw(st.integers(1, 3))
     for _ in range(n_edits):
         handles_a = param_handles(ckt_a)
@@ -150,10 +144,9 @@ def test_retune_equals_reinsert_equals_dense(num_qubits, data, config):
 )
 def test_expectation_tracks_retunes(num_qubits, data, config):
     """Cached block-wise expectations match the dense ground truth per edit."""
-    fusion, cow, directory = config
+    fusion, cow = config
     levels = data.draw(param_levels_strategy(num_qubits))
-    ckt, sim = build(num_qubits, levels, fusion=fusion, cow=cow,
-                     directory=directory)
+    ckt, sim = build(num_qubits, levels, fusion=fusion, cow=cow)
     obs = PauliSum(
         [
             PauliString({0: "Z"}, coefficient=0.75),
