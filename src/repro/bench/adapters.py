@@ -134,10 +134,8 @@ def qtask_factory(
     *,
     block_size: int = DEFAULT_BLOCK_SIZE,
     num_workers: Optional[int] = None,
-    copy_on_write: bool = True,
     fusion: bool = False,
     max_fused_qubits: int = 4,
-    observable_cache: bool = True,
     name: str = "qTask",
 ) -> SimulatorFactory:
     def build(circuit: Circuit) -> SimulatorAdapter:
@@ -145,10 +143,8 @@ def qtask_factory(
             circuit,
             block_size=block_size,
             num_workers=num_workers,
-            copy_on_write=copy_on_write,
             fusion=fusion,
             max_fused_qubits=max_fused_qubits,
-            observable_cache=observable_cache,
         )
         return SimulatorAdapter(name, sim, incremental=True)
 

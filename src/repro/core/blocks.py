@@ -4,8 +4,8 @@ qTask divides every state vector into disjoint, equal-size *blocks* whose size
 ``B`` is a power of two (§III.C).  Partitions are runs of consecutive blocks,
 and the incremental machinery reasons exclusively in terms of inclusive block
 ranges ``[first, last]``.  This module provides the small but heavily used
-vocabulary for that reasoning: :class:`BlockRange`, interval sets, and the
-range-intersection helpers used by the circuit modifiers (§III.D).
+vocabulary for that reasoning: :class:`BlockRange` (whose intersection
+predicates the circuit modifiers use, §III.D) and interval sets.
 """
 
 from __future__ import annotations
@@ -17,13 +17,10 @@ __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "validate_block_size",
     "num_blocks",
-    "block_of",
     "block_bounds",
     "aligned_block_runs",
     "BlockRange",
     "IntervalSet",
-    "ranges_intersect",
-    "intersect_ranges",
     "merge_overlapping",
 ]
 
@@ -48,11 +45,6 @@ def num_blocks(dim: int, block_size: int) -> int:
     if dim <= 0:
         raise ValueError(f"state dimension must be positive, got {dim}")
     return max(1, dim // block_size) if dim >= block_size else 1
-
-
-def block_of(index: int, block_size: int) -> int:
-    """Block id containing amplitude ``index``."""
-    return index // block_size
 
 
 def block_bounds(block: int, block_size: int, dim: int) -> Tuple[int, int]:
@@ -119,10 +111,6 @@ class BlockRange:
         lo, hi = max(self.first, other.first), min(self.last, other.last)
         return BlockRange(lo, hi) if lo <= hi else None
 
-    def union_span(self, other: "BlockRange") -> "BlockRange":
-        """Smallest range covering both (used when merging partitions)."""
-        return BlockRange(min(self.first, other.first), max(self.last, other.last))
-
     def index_bounds(self, block_size: int, dim: int) -> Tuple[int, int]:
         """Inclusive amplitude-index bounds covered by the range."""
         lo = self.first * block_size
@@ -134,16 +122,6 @@ class BlockRange:
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"[{self.first}, {self.last}]"
-
-
-def ranges_intersect(a: BlockRange, b: BlockRange) -> bool:
-    """Range-intersection predicate used throughout §III.D."""
-    return a.intersects(b)
-
-
-def intersect_ranges(a: BlockRange, b: BlockRange) -> Optional[BlockRange]:
-    """The intersection of two block ranges, or ``None`` when disjoint."""
-    return a.intersection(b)
 
 
 def merge_overlapping(ranges: Sequence[BlockRange]) -> List[BlockRange]:

@@ -556,26 +556,6 @@ class BlockDirectory:
                 lo -= 1  # racing drop: fall back to the next older writer
         return self.initial
 
-    def resolve_block(self, block: int, before_seq: int) -> np.ndarray:
-        got = self.resolve_store(block, before_seq).get_block(block)
-        assert got is not None
-        return got
-
-    def owner_runs(
-        self, first: int, last: int, before_seq: int
-    ) -> Iterator[Tuple[BlockStore, int, int]]:
-        """Maximal runs ``(store, first_block, last_block)`` of same-owner blocks."""
-        run_store: Optional[BlockStore] = None
-        run_first = first
-        for b in range(first, last + 1):
-            store = self.resolve_store(b, before_seq)
-            if store is not run_store:
-                if run_store is not None:
-                    yield run_store, run_first, b - 1
-                run_store, run_first = store, b
-        if run_store is not None:
-            yield run_store, run_first, last
-
     def writers_of(self, block: int) -> Tuple[object, ...]:
         """The current owners of ``block`` in seq order (for introspection)."""
         return tuple(self._writers.get(block, ()))

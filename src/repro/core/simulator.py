@@ -89,16 +89,13 @@ class QTaskSimulator(CircuitObserver):
         block_size: int = DEFAULT_BLOCK_SIZE,
         executor: Optional[Executor] = None,
         num_workers: Optional[int] = None,
-        copy_on_write: bool = True,
         fusion: bool = False,
         max_fused_qubits: int = 4,
-        observable_cache: bool = True,
         seed: Optional[int] = None,
         tracing: Optional[bool] = None,
     ) -> None:
         self.circuit = circuit
         self.block_size = validate_block_size(block_size)
-        self.copy_on_write = bool(copy_on_write)
         #: Fuse runs of consecutive non-superposition stages into single
         #: diagonal/monomial stages over the union qubit support.  Fusion
         #: relies on the net invariant (gates in one net are qubit-disjoint),
@@ -161,10 +158,6 @@ class QTaskSimulator(CircuitObserver):
         #: live dynamic stages, in no particular order (trajectory re-arming)
         self._dynamic_stages: Dict[int, DynamicStage] = {}
 
-        #: cache per-(term, block) observable partials across updates; with
-        #: ``False`` the (lazily created) observables engine recomputes every
-        #: query from the block stores (the caching-ablation baseline).
-        self.observable_cache = bool(observable_cache)
         #: dirty-block listeners: callables receiving the ids of every block
         #: (re)written by an update or orphaned by a stage removal.  The
         #: observables engine registers here so its per-block caches are
@@ -293,7 +286,6 @@ class QTaskSimulator(CircuitObserver):
         child = QTaskSimulator.__new__(QTaskSimulator)
         child.circuit = circuit
         child.block_size = self.block_size
-        child.copy_on_write = self.copy_on_write
         child.fusion = self.fusion
         child.max_fused_qubits = self.max_fused_qubits
         child.dim = self.dim
@@ -326,7 +318,6 @@ class QTaskSimulator(CircuitObserver):
         child._net_uid_order = []
         child.last_update = UpdateReport()
         child._num_updates = self._num_updates
-        child.observable_cache = self.observable_cache
         child._dirty_listeners = []
         child._observables = None
         # The child's trajectory starts as a verbatim copy of the parent's
@@ -497,20 +488,16 @@ class QTaskSimulator(CircuitObserver):
                     self._dissolve_conflicting(stage.seq + 1, net, gate)
                 self.graph.touch_stage(stage)
                 return
-            stage = MatVecStage(
-                [gate], circuit.num_qubits, self.block_size, self.copy_on_write
-            )
+            stage = MatVecStage([gate], circuit.num_qubits, self.block_size)
             self._matvec[net.uid] = stage
             self._insert_stage(handle, net, stage)
             return
-        stage = UnitaryStage(
-            gate, circuit.num_qubits, self.block_size, self.copy_on_write
-        )
+        stage = UnitaryStage(gate, circuit.num_qubits, self.block_size)
         self._insert_stage(handle, net, stage, try_fusion=self.fusion)
 
     def _make_dynamic_stage(self, op) -> DynamicStage:
         """Build the stage for a measure/reset/classically-controlled op."""
-        args = (self.circuit.num_qubits, self.block_size, self.copy_on_write)
+        args = (self.circuit.num_qubits, self.block_size)
         if isinstance(op, MeasureOp):
             return MeasureStage(op, *args, record=self.outcomes)
         if isinstance(op, ResetOp):
@@ -610,7 +597,6 @@ class QTaskSimulator(CircuitObserver):
             [h.gate for h in members],
             self.circuit.num_qubits,
             self.block_size,
-            self.copy_on_write,
             action=action,
             qubits=union_qubits,
         )
@@ -684,9 +670,7 @@ class QTaskSimulator(CircuitObserver):
         for h in handles:
             if h is skip:
                 continue
-            single = UnitaryStage(
-                h.gate, self.circuit.num_qubits, self.block_size, self.copy_on_write
-            )
+            single = UnitaryStage(h.gate, self.circuit.num_qubits, self.block_size)
             self._insert_stage(h, h.net, single)
 
     def _net_positions(self) -> Dict[int, int]:
@@ -816,11 +800,9 @@ class QTaskSimulator(CircuitObserver):
     def update_state(self) -> UpdateReport:
         """Re-simulate every partition affected by modifiers since last call.
 
-        With copy-on-write disabled (the §IV.F ablation) every stage
-        materialises -- and therefore depends on -- the entire previous state
-        vector, so incremental scoping is not sound and every update
-        re-simulates all partitions.  COW is precisely what makes scoped
-        updates possible.
+        Copy-on-write stage stores hold only the blocks each stage writes,
+        which is what makes the scoped update sound: a partition outside the
+        frontier keeps reading the same resolved blocks as before.
         """
         tel = self.telemetry
         self._update_event_mark = tel.events.last_seq
@@ -841,15 +823,7 @@ class QTaskSimulator(CircuitObserver):
 
     def _update_state_impl(self) -> UpdateReport:
         start = time.perf_counter()
-        if self.copy_on_write:
-            affected = self.graph.affected_nodes()
-        else:
-            affected = sorted(
-                self.graph.all_nodes(),
-                key=lambda n: (n.stage.seq, 0 if n.is_sync else 1, n.block_range.first),
-            )
-            if not self.graph.frontiers and self._num_updates > 0:
-                affected = []
+        affected = self.graph.affected_nodes()
         total_nodes = self.graph.num_nodes()
         report = UpdateReport(
             affected_partitions=len(affected),
@@ -859,14 +833,10 @@ class QTaskSimulator(CircuitObserver):
         if affected:
             report.executed_block_writes = self._execute_with_recovery(affected)
             if self._dirty_listeners:
-                if self.copy_on_write:
-                    dirty: Set[int] = set()
-                    for node in affected:
-                        if not node.is_sync:
-                            dirty.update(node.block_range.blocks())
-                else:
-                    # dense mode rewrites (and back-fills) whole vectors
-                    dirty = set(range(self.n_blocks))
+                dirty: Set[int] = set()
+                for node in affected:
+                    if not node.is_sync:
+                        dirty.update(node.block_range.blocks())
                 self._notify_dirty(dirty)
         self.graph.clear_frontiers()
         report.elapsed_seconds = time.perf_counter() - start
@@ -928,11 +898,6 @@ class QTaskSimulator(CircuitObserver):
         :class:`NumpyBatchBackend`.  Stage-granular edges reproduce the partition graph's
         ordering (edges only ever point to later stages).
         """
-        if not self.copy_on_write:
-            # Dense mode re-simulates everything: drop previously materialised
-            # blocks so no stale copy can shadow the recomputation.
-            for stage in self.graph.stages:
-                stage.store.clear()
         tel = self.telemetry
         if tel.tracer.enabled:
             with tel.tracer.span("plan.build") as pspan:
@@ -962,11 +927,7 @@ class QTaskSimulator(CircuitObserver):
         self._plan_chunks.inc(plan.total_chunks())
         self._updates_planned.inc()
 
-        block_writes = plan.block_writes
-        if not self.copy_on_write:
-            readers = {sp.stage.uid: sp.reader for sp in plan.stage_plans}
-            block_writes += self._fill_dense_blocks(affected, readers)
-        return block_writes
+        return plan.block_writes
 
     def _sync_prepare_runner(self, stage: Stage, reader):
         """An idempotent ``prepare`` thunk for sync (collapse) stages.
@@ -1088,35 +1049,6 @@ class QTaskSimulator(CircuitObserver):
                         attempt=attempt,
                     )
 
-    def _fill_dense_blocks(
-        self,
-        affected: List[PartitionNode],
-        readers: Dict[int, object],
-    ) -> int:
-        """In non-COW mode every affected stage materialises its full vector.
-
-        Blocks a stage's partitions did not write are copied from the stage
-        input *after* the task graph ran, in ascending stage order, so that a
-        fill never captures a value an earlier affected stage had yet to
-        produce.
-        """
-        added = 0
-        seen_stages: Dict[int, Stage] = {}
-        covered: Dict[int, set] = {}
-        for node in affected:
-            if node.is_sync:
-                continue
-            seen_stages[node.stage.uid] = node.stage
-            covered.setdefault(node.stage.uid, set()).update(node.block_range.blocks())
-        for uid, stage in sorted(seen_stages.items(), key=lambda kv: kv[1].seq):
-            reader = readers[uid]
-            for b in range(stage.n_blocks):
-                if b in covered[uid]:
-                    continue
-                stage.store.write_block(b, reader.resolve_block(b))
-                added += 1
-        return added
-
     # ------------------------------------------------------------------
     # queries
     # ------------------------------------------------------------------
@@ -1170,12 +1102,12 @@ class QTaskSimulator(CircuitObserver):
 
         One engine per simulator; its per-block caches subscribe to the
         dirty-block notifications and therefore stay consistent across
-        incremental updates.  ``observable_cache=False`` disables caching.
+        incremental updates.
         """
         if self._observables is None:
             from ..observables.engine import ObservablesEngine
 
-            self._observables = ObservablesEngine(self, cache=self.observable_cache)
+            self._observables = ObservablesEngine(self)
         return self._observables
 
     def expectation(self, observable) -> float:
@@ -1231,7 +1163,7 @@ class QTaskSimulator(CircuitObserver):
 
         Combines the partition-graph shape (``num_stages``, ``num_nodes``,
         ``num_edges``, ``num_frontiers``) with the configuration knobs
-        (block size/workers/COW/fusion/observable cache) and the
+        (block size/workers/fusion) and the
         outcome of the most recent update (affected partitions, elapsed
         seconds), so benchmark rows and debugging sessions can snapshot one
         dict instead of poking internals.
@@ -1242,11 +1174,9 @@ class QTaskSimulator(CircuitObserver):
                 "block_size": self.block_size,
                 "num_updates": self._num_updates,
                 "num_workers": self.executor.num_workers,
-                "copy_on_write": self.copy_on_write,
                 "fusion": self.fusion,
                 "num_fused_stages": self._num_fused,
                 "num_dynamic_stages": self.num_dynamic_stages,
-                "observable_cache": self.observable_cache,
                 "cached_observable_partials": (
                     self._observables.cached_partials
                     if self._observables is not None

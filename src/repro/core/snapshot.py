@@ -178,10 +178,8 @@ def _build_header(sim: QTaskSimulator) -> Tuple[Dict[str, object], List[np.ndarr
         "allow_net_dependencies": circuit.allow_net_dependencies,
         "knobs": {
             "block_size": sim.block_size,
-            "copy_on_write": sim.copy_on_write,
             "fusion": sim.fusion,
             "max_fused_qubits": sim.max_fused_qubits,
-            "observable_cache": sim.observable_cache,
         },
         "num_updates": sim._num_updates,
         "nets": nets_json,
@@ -311,7 +309,7 @@ def _rebuild_circuit(header: Dict[str, object]) -> Tuple[Circuit, List[GateHandl
 
 def _build_stage(entry, members: List[GateHandle], sim: QTaskSimulator):
     kind = entry["kind"]
-    args = (sim.circuit.num_qubits, sim.block_size, sim.copy_on_write)
+    args = (sim.circuit.num_qubits, sim.block_size)
     try:
         if kind == "unitary":
             return UnitaryStage(members[0].gate, *args)
@@ -363,15 +361,15 @@ def restore_simulator(
     t0 = time.perf_counter()
     header, payload = _read_file(path)
     # Checkpoints written before the execution-mode knobs were retired also
-    # carry "block_directory", "kernel_backend" and "store_transport"; they
-    # name modes that no longer exist and are ignored.
+    # carry "block_directory", "kernel_backend", "store_transport",
+    # "copy_on_write" and "observable_cache"; they name modes that no longer
+    # exist and are ignored.
     knobs = header["knobs"]
     circuit, handles = _rebuild_circuit(header)
 
     sim = QTaskSimulator.__new__(QTaskSimulator)
     sim.circuit = circuit
     sim.block_size = int(knobs["block_size"])
-    sim.copy_on_write = bool(knobs["copy_on_write"])
     sim.fusion = bool(knobs["fusion"])
     sim.max_fused_qubits = int(knobs["max_fused_qubits"])
     sim.dim = 1 << circuit.num_qubits
@@ -399,7 +397,6 @@ def restore_simulator(
     sim._net_uid_order = []
     sim.last_update = UpdateReport()
     sim._num_updates = 0
-    sim.observable_cache = bool(knobs["observable_cache"])
     sim._dirty_listeners = []
     sim._observables = None
 

@@ -68,12 +68,11 @@ class Stage:
 
     kind: str = "stage"
 
-    def __init__(self, qubit_count: int, block_size: int, copy_on_write: bool = True) -> None:
+    def __init__(self, qubit_count: int, block_size: int) -> None:
         self.uid = next(_stage_counter)
         self.qubit_count = qubit_count
         self.dim = 1 << qubit_count
         self.block_size = block_size
-        self.copy_on_write = copy_on_write
         self.store = BlockStore(self.dim, block_size)
         self.n_blocks = num_blocks(self.dim, block_size)
         #: sequence index in the simulator's global stage order (maintained
@@ -130,19 +129,6 @@ class Stage:
 
     # -- helpers --------------------------------------------------------------
 
-    def write_full(self, vector: np.ndarray) -> None:
-        """Store an entire state vector (used by non-COW mode and matvec).
-
-        Publishes through :meth:`~repro.core.cow.BlockStore.write_range`,
-        which copies the vector once and stores per-block views of it.
-        """
-        arr = np.asarray(vector).reshape(-1)
-        if arr.shape[0] != self.dim:
-            raise ValueError(
-                f"full write expects {self.dim} amplitudes, got {arr.shape[0]}"
-            )
-        self.store.write_range(0, arr)
-
     def _aligned_runs(self, block_range: BlockRange) -> List[Tuple[int, int]]:
         """``(lo, hi)`` amplitude bounds of each aligned power-of-two run."""
         block_size = self.block_size
@@ -171,9 +157,8 @@ class UnitaryStage(Stage):
         gate: Gate,
         qubit_count: int,
         block_size: int,
-        copy_on_write: bool = True,
     ) -> None:
-        super().__init__(qubit_count, block_size, copy_on_write)
+        super().__init__(qubit_count, block_size)
         self.gate = gate
         self.action: Action = gate.action()
         if self.action.creates_superposition:
@@ -209,7 +194,7 @@ class UnitaryStage(Stage):
         # shares them by reference instead of re-deriving -- forking a deep
         # circuit must not re-run gate classification per stage.
         clone = type(self).__new__(type(self))
-        Stage.__init__(clone, self.qubit_count, self.block_size, self.copy_on_write)
+        Stage.__init__(clone, self.qubit_count, self.block_size)
         clone.gate = self.gate
         clone.action = self.action
         clone.qubits = self.qubits
@@ -267,12 +252,11 @@ class FusedUnitaryStage(UnitaryStage):
         gates: Sequence[Gate],
         qubit_count: int,
         block_size: int,
-        copy_on_write: bool = True,
         *,
         action: Optional[Action] = None,
         qubits: Optional[Sequence[int]] = None,
     ) -> None:
-        Stage.__init__(self, qubit_count, block_size, copy_on_write)
+        Stage.__init__(self, qubit_count, block_size)
         if not gates:
             raise ValueError("a fused stage needs at least one gate")
         if (action is None) != (qubits is None):
@@ -343,10 +327,9 @@ class MatVecStage(Stage):
         gates: Sequence[Gate],
         qubit_count: int,
         block_size: int,
-        copy_on_write: bool = True,
         combine_limit: Optional[int] = None,
     ) -> None:
-        super().__init__(qubit_count, block_size, copy_on_write)
+        super().__init__(qubit_count, block_size)
         self.gates: List[Gate] = []
         self._prepared: Optional[np.ndarray] = None
         self.combine_limit = (
@@ -394,7 +377,6 @@ class MatVecStage(Stage):
             self.gates,
             self.qubit_count,
             self.block_size,
-            self.copy_on_write,
             combine_limit=self.combine_limit,
         )
 
@@ -481,10 +463,9 @@ class DynamicStage(Stage):
         op,
         qubit_count: int,
         block_size: int,
-        copy_on_write: bool = True,
         record: Optional[OutcomeRecord] = None,
     ) -> None:
-        super().__init__(qubit_count, block_size, copy_on_write)
+        super().__init__(qubit_count, block_size)
         self.op = op
         self.record = record
 
@@ -501,9 +482,7 @@ class DynamicStage(Stage):
         # The op object is shared (immutable apart from its one-shot
         # op_index); the record is rebound by the forking simulator.
         clone = type(self).__new__(type(self))
-        DynamicStage.__init__(
-            clone, self.op, self.qubit_count, self.block_size, self.copy_on_write
-        )
+        DynamicStage.__init__(clone, self.op, self.qubit_count, self.block_size)
         return clone
 
 
@@ -621,10 +600,9 @@ class ClassicallyControlledStage(DynamicStage):
         op: CGate,
         qubit_count: int,
         block_size: int,
-        copy_on_write: bool = True,
         record: Optional[OutcomeRecord] = None,
     ) -> None:
-        super().__init__(op, qubit_count, block_size, copy_on_write, record)
+        super().__init__(op, qubit_count, block_size, record)
         self.gate = op.gate
         self.action: Action = self.gate.action()
         self.qubits: Tuple[int, ...] = tuple(self.gate.qubits)

@@ -86,14 +86,11 @@ class ObservablesEngine:
     """Measurement queries over one simulator's COW-resolved state.
 
     Created lazily by :attr:`repro.core.simulator.QTaskSimulator.observables`
-    (one engine per simulator); direct construction is useful in tests.  With
-    ``cache=False`` every query recomputes from the block stores -- the A/B
-    baseline for the caching ablation.
+    (one engine per simulator); direct construction is useful in tests.
     """
 
-    def __init__(self, simulator, *, cache: bool = True) -> None:
+    def __init__(self, simulator) -> None:
         self.simulator = simulator
-        self.cache = bool(cache)
         self.dim = simulator.dim
         self.block_size = simulator.block_size
         self.n_blocks = simulator.n_blocks
@@ -117,8 +114,6 @@ class ObservablesEngine:
         by an incremental update plus the blocks orphaned by stage removals;
         everything else stays cached.
         """
-        if not self.cache:
-            return
         blocks = set(blocks)
         if not blocks:
             return
@@ -149,14 +144,13 @@ class ObservablesEngine:
         afterwards -- it registers its own dirty listener on ``simulator``
         and each side's edits invalidate only its own cache.
         """
-        clone = ObservablesEngine(simulator, cache=self.cache)
-        if self.cache:
-            clone._term_partials = {
-                key: dict(partials) for key, partials in self._term_partials.items()
-            }
-            clone._term_block_flip = dict(self._term_block_flip)
-            clone._tree.build(self._tree.values())
-            clone._stale_blocks = set(self._stale_blocks)
+        clone = ObservablesEngine(simulator)
+        clone._term_partials = {
+            key: dict(partials) for key, partials in self._term_partials.items()
+        }
+        clone._term_block_flip = dict(self._term_block_flip)
+        clone._tree.build(self._tree.values())
+        clone._stale_blocks = set(self._stale_blocks)
         return clone
 
     @property
@@ -176,7 +170,7 @@ class ObservablesEngine:
         """
         obs = as_pauli_sum(observable)
         reader = self.simulator.state_reader()
-        caches: Dict[_TermKey, Optional[Dict[int, complex]]] = {}
+        caches: Dict[_TermKey, Dict[int, complex]] = {}
         for term in obs.terms:
             caches[term.key] = self._term_cache(term)
         actions = {
@@ -192,7 +186,7 @@ class ObservablesEngine:
             probs: Optional[np.ndarray] = None
             for term in obs.terms:
                 cache = caches[term.key]
-                partial = cache.get(b) if cache is not None else None
+                partial = cache.get(b)
                 if partial is None:
                     if psi is None:
                         psi = np.asarray(
@@ -204,16 +198,13 @@ class ObservablesEngine:
                         term, reader, lo, hi,
                         psi=psi, probs=probs, action=actions.get(term.key),
                     )
-                    if cache is not None:
-                        cache[b] = partial
+                    cache[b] = partial
                 totals[term.key] += partial
         for term in obs.terms:
             total += term.coefficient * totals[term.key]
         return total
 
-    def _term_cache(self, term: PauliString) -> Optional[Dict[int, complex]]:
-        if not self.cache:
-            return None
+    def _term_cache(self, term: PauliString) -> Dict[int, complex]:
         cache = self._term_partials.setdefault(term.key, {})
         if term.key not in self._term_block_flip:
             block_len = min(self.dim, self.block_size)
@@ -238,7 +229,7 @@ class ObservablesEngine:
         return (amps.conj() * amps).real
 
     def _refresh_tree(self, reader: StateReader) -> None:
-        stale = self._stale_blocks if self.cache else set(range(self.n_blocks))
+        stale = self._stale_blocks
         if not stale:
             return
         if len(stale) > self.n_blocks // 2:
@@ -254,17 +245,15 @@ class ObservablesEngine:
         else:
             for b in stale:
                 self._tree.set(b, float(self._block_probs(b, reader).sum()))
-        if self.cache:
-            self._stale_blocks.clear()
+        self._stale_blocks.clear()
 
     def block_probability(self, block: int) -> float:
         """Total probability mass inside one data block."""
         if not 0 <= block < self.n_blocks:
             raise IndexError(f"block {block} out of range [0, {self.n_blocks})")
-        reader = self.simulator.state_reader()
-        if self.cache and block not in self._stale_blocks:
+        if block not in self._stale_blocks:
             return self._tree.value(block)
-        return float(self._block_probs(block, reader).sum())
+        return float(self._block_probs(block, self.simulator.state_reader()).sum())
 
     def total_probability(self) -> float:
         """``sum_i |psi_i|^2`` accumulated block-wise (the squared norm)."""

@@ -14,8 +14,8 @@ This package reproduces that structure in Python:
 * :class:`~repro.parallel.executor.SequentialExecutor` -- a deterministic
   single-threaded executor used for tests and as the 1-core datapoint of the
   scalability experiments,
-* :func:`~repro.parallel.parallel_for.parallel_for` -- the chunked
-  parallel-for used for intra-gate parallelism.
+* :func:`~repro.parallel.parallel_for.chunk_indices` -- the block-size
+  chunking of an index space used for intra-gate parallelism.
 
 The GIL obviously limits speedups for tiny tasks; the numpy kernels release
 the GIL during the heavy array work, which is where the available parallelism
@@ -24,7 +24,7 @@ lives (see DESIGN.md, "Substitutions").
 
 from .taskgraph import Task, TaskGraph
 from .executor import Executor, SequentialExecutor, WorkStealingExecutor, make_executor
-from .parallel_for import parallel_for, chunk_indices
+from .parallel_for import chunk_indices
 from .sweep import SweepPoint, SweepResult, SweepRunner
 
 __all__ = [
@@ -34,7 +34,6 @@ __all__ = [
     "SequentialExecutor",
     "WorkStealingExecutor",
     "make_executor",
-    "parallel_for",
     "chunk_indices",
     "SweepPoint",
     "SweepResult",

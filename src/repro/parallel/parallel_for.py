@@ -1,19 +1,16 @@
-"""Chunked parallel-for helper.
+"""Chunking helper for parallel-for loops.
 
 The paper describes intra-gate operation parallelism as "a parallel-for with
-chunk size equal to our block size" (§III.C).  :func:`parallel_for` provides
-exactly that: it splits an index space into chunks and maps a function over
-the chunks with the given executor (or serially when no executor / a
-sequential executor is supplied).
+chunk size equal to our block size" (§III.C).  :func:`chunk_indices` splits
+an index space into those chunks; callers map their work over the chunks
+with an executor.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Tuple
 
-from .executor import Executor, SequentialExecutor
-
-__all__ = ["chunk_indices", "parallel_for"]
+__all__ = ["chunk_indices"]
 
 
 def chunk_indices(total: int, chunk: int) -> List[Tuple[int, int]]:
@@ -23,18 +20,3 @@ def chunk_indices(total: int, chunk: int) -> List[Tuple[int, int]]:
     if chunk <= 0:
         raise ValueError(f"chunk must be positive, got {chunk}")
     return [(s, min(total, s + chunk)) for s in range(0, total, chunk)]
-
-
-def parallel_for(
-    fn: Callable[[int, int], object],
-    total: int,
-    chunk: int,
-    executor: Optional[Executor] = None,
-) -> None:
-    """Apply ``fn(start, stop)`` over chunked sub-ranges of ``range(total)``."""
-    chunks = chunk_indices(total, chunk)
-    if executor is None or isinstance(executor, SequentialExecutor) or len(chunks) <= 1:
-        for s, e in chunks:
-            fn(s, e)
-        return
-    executor.map(lambda se: fn(se[0], se[1]), chunks)

@@ -9,9 +9,10 @@ shared executor), deals the grid across the fleet round-robin, and runs one
 chunk per fork as tasks on the shared
 :class:`~repro.parallel.executor.WorkStealingExecutor`.  Each fork carries
 its own observables cache, so per-point expectations stay incremental
-within a chunk, and every nested ``update_state`` issued from a sweep task
-re-enters the same executor (worker threads help instead of blocking, see
-``WorkStealingExecutor._wait``).
+within a chunk.  Each fork updates on its own
+:class:`~repro.parallel.executor.SequentialExecutor`: one sweep chunk is one
+coarse task and the shared pool parallelises *across* forks, with no nested
+executor runs.
 
 Results are gathered back in submission order regardless of which fork or
 worker computed them.
@@ -70,7 +71,6 @@ class SweepRunner:
         *,
         observable=None,
         num_forks: Optional[int] = None,
-        nested_parallelism: bool = False,
     ) -> None:
         self.session = session
         self.handles = list(handles)
@@ -78,14 +78,6 @@ class SweepRunner:
         if num_forks is not None and num_forks < 1:
             raise ValueError(f"num_forks must be positive, got {num_forks}")
         self.num_forks = num_forks
-        #: with False (default) each fork updates on its own
-        #: SequentialExecutor -- one sweep point is one coarse task and the
-        #: shared pool parallelises *across* forks, which is both faster
-        #: (no nested-run scheduling) and exactly one point per worker.
-        #: True keeps the forks on the shared pool, so a single point's
-        #: partitions also spread over idle workers (useful when the grid
-        #: is smaller than the pool).
-        self.nested_parallelism = bool(nested_parallelism)
         #: (forked session, its mirrors of ``handles``) per fleet member
         self._forks: List[Tuple[object, List[object]]] = []
         #: the base session's state epoch the current fleet was forked from
@@ -147,8 +139,7 @@ class SweepRunner:
                 child.close()
             self._forks.clear()
         while len(self._forks) < wanted:
-            inner = None if self.nested_parallelism else SequentialExecutor()
-            child = self.session.fork(executor=inner)
+            child = self.session.fork(executor=SequentialExecutor())
             mirrored = [child.handle_for(h) for h in self.handles]
             self._forks.append((child, mirrored))
         # fork() flushes pending parent modifiers, so read the epoch after.

@@ -49,10 +49,8 @@ class QTask:
         block_size: int = DEFAULT_BLOCK_SIZE,
         num_workers: Optional[int] = None,
         executor: Optional[Executor] = None,
-        copy_on_write: bool = True,
         fusion: bool = False,
         max_fused_qubits: int = 4,
-        observable_cache: bool = True,
         seed: Optional[int] = None,
         tracing: Optional[bool] = None,
     ) -> None:
@@ -62,10 +60,8 @@ class QTask:
             block_size=block_size,
             num_workers=num_workers,
             executor=executor,
-            copy_on_write=copy_on_write,
             fusion=fusion,
             max_fused_qubits=max_fused_qubits,
-            observable_cache=observable_cache,
             seed=seed,
             tracing=tracing,
         )

@@ -15,7 +15,6 @@ from repro.qasm.levelize import levelize
 
 FACTORIES = [
     qtask_factory(),
-    qtask_factory(observable_cache=False, name="qTask-nocache"),
     qtask_factory(fusion=True, name="qTask-fused"),
     qulacs_like_factory(),
     qiskit_like_factory(),

@@ -18,6 +18,9 @@ from repro.bench.figures import (
 from repro.bench.memory import cow_memory_comparison
 from repro.bench.scaling import figure17_full_scaling, figure18_incremental_scaling
 from repro.bench.table3 import QUICK_SUBSET, run_circuit_row, run_table3
+from repro.circuits import build_levels
+from repro.core.circuit import Circuit
+from repro.core.simulator import QTaskSimulator
 
 TINY_FACTORIES = [
     qtask_factory(block_size=16, num_workers=1),
@@ -98,6 +101,13 @@ def test_cow_memory_comparison_reports_savings():
     cmp = cow_memory_comparison("simons", block_size=8)
     assert cmp.without_cow_bytes >= cmp.with_cow_bytes > 0
     assert 0.0 <= cmp.savings_fraction < 1.0
+    # the dense figure is the same circuit's one-vector-per-stage footprint
+    qubits, levels = build_levels("simons")
+    circuit = Circuit(qubits)
+    circuit.from_levels(levels)
+    with QTaskSimulator(circuit, block_size=8, num_workers=1) as sim:
+        sim.update_state()
+        assert cmp.without_cow_bytes == sim.memory_report().dense_bytes
 
 
 def test_driver_mains_run(capsys):

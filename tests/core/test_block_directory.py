@@ -49,9 +49,9 @@ def test_resolve_store_picks_most_recent_writer():
 
 def test_resolve_block_values():
     _, _, _, d = _directory_with_layers()
-    assert d.resolve_block(2, 2)[0] == 99.0
-    assert d.resolve_block(2, 1)[0] == 20.0
-    assert d.resolve_block(0, 2)[0] == 1.0
+    assert DirectoryReader(d, 2).resolve_block(2)[0] == 99.0
+    assert DirectoryReader(d, 1).resolve_block(2)[0] == 20.0
+    assert DirectoryReader(d, 2).resolve_block(0)[0] == 1.0
 
 
 def test_drop_and_clear_update_directory():
@@ -98,7 +98,7 @@ def test_writers_sorted_by_seq_regardless_of_write_order():
 
 def test_owner_runs_groups_consecutive_blocks():
     _, a, b, d = _directory_with_layers()
-    runs = list(d.owner_runs(0, 7, 2))
+    runs = list(DirectoryReader(d, 2).owner_runs(0, 7))
     assert runs == [(d.initial, 0, 0), (a.store, 1, 1), (b.store, 2, 2),
                     (d.initial, 3, 7)]
 

@@ -9,11 +9,8 @@ from repro.core.blocks import (
     DEFAULT_BLOCK_SIZE,
     IntervalSet,
     block_bounds,
-    block_of,
-    intersect_ranges,
     merge_overlapping,
     num_blocks,
-    ranges_intersect,
     validate_block_size,
 )
 
@@ -44,9 +41,7 @@ def test_num_blocks_rejects_nonpositive():
         num_blocks(0, 4)
 
 
-def test_block_of_and_bounds():
-    assert block_of(0, 4) == 0
-    assert block_of(17, 4) == 4
+def test_block_bounds():
     assert block_bounds(4, 4, 32) == (16, 19)
     assert block_bounds(0, 8, 4) == (0, 3)  # clipped short block
 
@@ -71,17 +66,13 @@ def test_block_range_len_contains_iter():
 
 
 def test_block_range_intersects():
-    assert ranges_intersect(BlockRange(0, 3), BlockRange(3, 5))
-    assert not ranges_intersect(BlockRange(0, 2), BlockRange(3, 5))
+    assert BlockRange(0, 3).intersects(BlockRange(3, 5))
+    assert not BlockRange(0, 2).intersects(BlockRange(3, 5))
 
 
 def test_block_range_intersection_value():
-    assert intersect_ranges(BlockRange(0, 4), BlockRange(2, 8)) == BlockRange(2, 4)
-    assert intersect_ranges(BlockRange(0, 1), BlockRange(2, 3)) is None
-
-
-def test_block_range_union_span():
-    assert BlockRange(0, 1).union_span(BlockRange(5, 6)) == BlockRange(0, 6)
+    assert BlockRange(0, 4).intersection(BlockRange(2, 8)) == BlockRange(2, 4)
+    assert BlockRange(0, 1).intersection(BlockRange(2, 3)) is None
 
 
 def test_block_range_index_bounds():

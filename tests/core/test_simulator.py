@@ -243,31 +243,18 @@ def test_rebuild_from_empty_to_full_level_by_level(rng):
 
 
 # ---------------------------------------------------------------------------
-# copy-on-write ablation
+# copy-on-write memory
 # ---------------------------------------------------------------------------
-
-
-def test_copy_on_write_disabled_gives_same_state(rng):
-    levels = random_levels(rng, 4, 5)
-    _, sim_cow = make_sim(4, levels, block_size=4, num_workers=1, copy_on_write=True)
-    _, sim_dense = make_sim(4, levels, block_size=4, num_workers=1, copy_on_write=False)
-    sim_cow.update_state()
-    sim_dense.update_state()
-    assert_states_close(sim_cow.state(), sim_dense.state())
-    sim_cow.close()
-    sim_dense.close()
 
 
 def test_copy_on_write_uses_less_memory():
     n = 6
     levels = [[Gate("h", (5,))]] + [[Gate("cz", (5, q))] for q in range(4)]
-    _, cow = make_sim(n, levels, block_size=4, num_workers=1, copy_on_write=True)
-    _, dense = make_sim(n, levels, block_size=4, num_workers=1, copy_on_write=False)
-    cow.update_state()
-    dense.update_state()
-    assert cow.memory_report().allocated_bytes < dense.memory_report().allocated_bytes
-    cow.close()
-    dense.close()
+    _, sim = make_sim(n, levels, block_size=4, num_workers=1)
+    sim.update_state()
+    report = sim.memory_report()
+    assert 0 < report.allocated_bytes < report.dense_bytes
+    sim.close()
 
 
 # ---------------------------------------------------------------------------

@@ -58,10 +58,6 @@ KNOB_COMBOS = [
         dict(block_size=4, fusion=True),
         id="fusion-bs4",
     ),
-    pytest.param(
-        dict(block_size=4, copy_on_write=False),
-        id="dense-bs4",
-    ),
 ]
 
 
@@ -219,8 +215,9 @@ def _patch_header(path, edit):
 
 def test_restore_ignores_retired_execution_knobs(tmp_path):
     """Checkpoints from before the process/numba/legacy kernels, the store
-    chain and the sharded transport were removed carry their knob keys;
-    restore ignores them and resumes on the one remaining engine."""
+    chain, the sharded transport, dense (non-COW) stores and uncached
+    observables were removed carry their knob keys; restore ignores them
+    and resumes on the one remaining engine."""
     num_qubits = 5
     rng = random.Random(33)
     levels = random_levels(rng, num_qubits, 4)
@@ -234,6 +231,8 @@ def test_restore_ignores_retired_execution_knobs(tmp_path):
         "block_directory": False,
         "kernel_backend": "process",
         "store_transport": "sharded",
+        "copy_on_write": False,
+        "observable_cache": False,
     }
 
     def add_retired(header):

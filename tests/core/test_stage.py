@@ -174,11 +174,3 @@ def test_matvec_stage_writes_every_block():
     chain = make_chain(n)
     run_stage(stage, chain)
     assert stage.store.stored_blocks() == tuple(range(4))
-
-
-def test_stage_write_full_helper():
-    stage = UnitaryStage(Gate("x", (0,)), 3, 4)
-    vec = np.arange(8, dtype=complex)
-    stage.write_full(vec)
-    assert stage.store.num_stored_blocks == 2
-    np.testing.assert_allclose(stage.store.get_block(1), [4, 5, 6, 7])

@@ -148,20 +148,6 @@ class TestExpectation:
         assert abs(sim.expectation(obs) - dense_expectation(sim.state(), obs)) < 1e-10
         sim.close()
 
-    def test_cache_disabled_matches_cached(self, rng):
-        ckt_a, sim_a = build_sim(rng, 3, block_size=2, observable_cache=True)
-        obs = random_observable(rng, 3)
-        rng2 = __import__("random").Random(99)
-        ckt_b = Circuit(3)
-        sim_b = QTaskSimulator(ckt_b, num_workers=1, block_size=2,
-                               observable_cache=False)
-        ckt_b.from_levels([[h.gate for h in net.gates] for net in ckt_a.nets()])
-        sim_b.update_state()
-        assert abs(sim_a.expectation(obs) - sim_b.expectation(obs)) < 1e-12
-        assert sim_b.statistics()["observable_cache"] is False
-        sim_a.close()
-        sim_b.close()
-
     def test_cached_partials_reported_in_statistics(self, rng):
         ckt, sim = build_sim(rng, 3, block_size=2)
         assert sim.statistics()["cached_observable_partials"] == 0

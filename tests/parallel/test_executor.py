@@ -12,7 +12,6 @@ from repro.parallel import (
     WorkStealingExecutor,
     chunk_indices,
     make_executor,
-    parallel_for,
 )
 from repro.parallel.workqueue import StealScheduler, WorkDeque
 
@@ -192,7 +191,7 @@ def test_executor_context_manager():
 
 
 # ---------------------------------------------------------------------------
-# parallel_for and chunking
+# chunking
 # ---------------------------------------------------------------------------
 
 
@@ -210,25 +209,6 @@ def test_chunk_indices_validation():
 
 def test_chunk_indices_empty_total():
     assert chunk_indices(0, 4) == []
-
-
-@pytest.mark.parametrize("workers", [None, 1, 3])
-def test_parallel_for_visits_every_index_once(workers):
-    hits = [0] * 100
-    lock = threading.Lock()
-
-    def body(start, stop):
-        with lock:
-            for i in range(start, stop):
-                hits[i] += 1
-
-    ex = None if workers is None else make_executor(workers)
-    try:
-        parallel_for(body, 100, 7, ex)
-    finally:
-        if ex:
-            ex.close()
-    assert hits == [1] * 100
 
 
 # ---------------------------------------------------------------------------

@@ -170,21 +170,6 @@ def test_sweep_fleet_refreshes_after_parent_edits():
             assert [child for child, _ in runner._forks] == fleet
 
 
-def test_sweep_nested_parallelism_matches_default():
-    """Forks updating on the shared pool (nested runs) give equal results."""
-    with QTask(N_QUBITS, num_workers=4) as session:
-        handles = _build(session)
-        session.update_state()
-        points = _grid(handles, 5)
-        with SweepRunner(session, handles, observable=OBSERVABLE,
-                         nested_parallelism=True) as nested:
-            nested_results = nested.run(points)
-        with SweepRunner(session, handles, observable=OBSERVABLE) as flat:
-            flat_results = flat.run(points)
-        for a, b in zip(nested_results, flat_results):
-            assert a.expectation == pytest.approx(b.expectation, abs=1e-10)
-
-
 def test_sweep_exceptions_propagate():
     with QTask(N_QUBITS, num_workers=2) as session:
         handles = _build(session)

@@ -30,13 +30,12 @@ from .conftest import (
 ATOL = 1e-10
 
 # knob combinations exercising every structural code path the plan layer
-# interacts with: fusion (FusedUnitaryStage emission), COW vs dense stores
-# (the dense back-fill after a plan run) and block sizes from sub-gate to
-# whole-state
+# interacts with: fusion (FusedUnitaryStage emission) and block sizes from
+# sub-gate to whole-state
 KNOB_COMBOS = [
-    pytest.param(dict(fusion=False, copy_on_write=True, block_size=4), id="defaults-bs4"),
-    pytest.param(dict(fusion=True, copy_on_write=True, block_size=4), id="fusion-bs4"),
-    pytest.param(dict(fusion=False, copy_on_write=False, block_size=16), id="dense-bs16"),
+    pytest.param(dict(fusion=False, block_size=4), id="defaults-bs4"),
+    pytest.param(dict(fusion=True, block_size=4), id="fusion-bs4"),
+    pytest.param(dict(fusion=False, block_size=16), id="defaults-bs16"),
 ]
 
 
@@ -96,7 +95,7 @@ def test_incremental_insert_matches_dense(backend):
     [
         pytest.param(dict(block_size=4), id="defaults"),
         pytest.param(dict(block_size=4, fusion=True), id="fusion"),
-        pytest.param(dict(block_size=8, copy_on_write=False), id="dense-bs8"),
+        pytest.param(dict(block_size=8), id="bs8"),
     ],
 )
 @pytest.mark.parametrize("backend", BACKENDS)

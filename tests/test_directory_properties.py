@@ -52,16 +52,14 @@ def assert_directory_matches_naive_walk(sim: QTaskSimulator) -> None:
 
 
 @pytest.mark.parametrize("fusion", [False, True], ids=["unfused", "fused"])
-@pytest.mark.parametrize("cow", [True, False], ids=["cow", "dense"])
 @settings(**COMMON_SETTINGS)
 @given(num_qubits=st.integers(2, 4), data=st.data())
-def test_directory_matches_chain_under_modifiers(fusion, cow, num_qubits, data):
+def test_directory_matches_chain_under_modifiers(fusion, num_qubits, data):
     """Directory reads equal the chain walk and the dense state through modifiers."""
     lv = data.draw(levels_strategy(num_qubits))
     mods = data.draw(st.lists(modifier_strategy(), min_size=1, max_size=5))
     ckt = Circuit(num_qubits)
-    sim = QTaskSimulator(ckt, block_size=2, num_workers=1,
-                         copy_on_write=cow, fusion=fusion)
+    sim = QTaskSimulator(ckt, block_size=2, num_workers=1, fusion=fusion)
     ckt.from_levels(lv)
     sim.update_state()
     for mod in mods:

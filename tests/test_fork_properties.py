@@ -32,13 +32,8 @@ COMMON_SETTINGS = dict(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
-#: (fusion, copy_on_write) corners exercised for fork equivalence.
-CONFIGS = [
-    (False, True),
-    (True, True),
-    (False, False),
-    (True, False),
-]
+#: fusion settings exercised for fork equivalence.
+CONFIGS = [False, True]
 
 N_QUBITS = 5
 OBSERVABLE = "ZZ" + "I" * (N_QUBITS - 2)
@@ -66,10 +61,9 @@ def _build_workload(session):
     return rz_handles, rx_handles
 
 
-@pytest.mark.parametrize("fusion,copy_on_write", CONFIGS)
-def test_fresh_fork_matches_parent_exactly(fusion, copy_on_write):
-    with QTask(N_QUBITS, num_workers=1, fusion=fusion,
-               copy_on_write=copy_on_write) as parent:
+@pytest.mark.parametrize("fusion", CONFIGS)
+def test_fresh_fork_matches_parent_exactly(fusion):
+    with QTask(N_QUBITS, num_workers=1, fusion=fusion) as parent:
         _build_workload(parent)
         parent.update_state()
         parent_state = parent.state()
@@ -87,11 +81,10 @@ def test_fresh_fork_matches_parent_exactly(fusion, copy_on_write):
             child.close()
 
 
-@pytest.mark.parametrize("fusion,copy_on_write", CONFIGS)
-def test_fork_retune_equals_fresh_build(fusion, copy_on_write):
+@pytest.mark.parametrize("fusion", CONFIGS)
+def test_fork_retune_equals_fresh_build(fusion):
     """fork + update_gate == building the edited circuit from scratch."""
-    with QTask(N_QUBITS, num_workers=1, fusion=fusion,
-               copy_on_write=copy_on_write) as parent:
+    with QTask(N_QUBITS, num_workers=1, fusion=fusion) as parent:
         rz_handles, rx_handles = _build_workload(parent)
         parent.update_state()
         child = parent.fork()
@@ -103,8 +96,7 @@ def test_fork_retune_equals_fresh_build(fusion, copy_on_write):
             report = child.update_state()
             assert report.was_incremental
 
-            with QTask(N_QUBITS, num_workers=1, fusion=fusion,
-                       copy_on_write=copy_on_write) as fresh:
+            with QTask(N_QUBITS, num_workers=1, fusion=fusion) as fresh:
                 rz2, rx2 = _build_workload(fresh)
                 for i, h in enumerate(rz2):
                     fresh.update_gate(h, 1.1 + 0.2 * i)

@@ -146,28 +146,6 @@ def test_incremental_always_matches_from_scratch(num_qubits, data):
 
 
 @settings(**COMMON_SETTINGS)
-@given(num_qubits=st.integers(2, 4), data=st.data())
-def test_cow_and_dense_storage_agree_under_modifiers(num_qubits, data):
-    lv = data.draw(levels_strategy(num_qubits))
-    mods = data.draw(st.lists(modifier_strategy(), min_size=1, max_size=4))
-    ckt_a, ckt_b = Circuit(num_qubits), Circuit(num_qubits)
-    sim_a = QTaskSimulator(ckt_a, block_size=2, num_workers=1, copy_on_write=True)
-    sim_b = QTaskSimulator(ckt_b, block_size=2, num_workers=1, copy_on_write=False)
-    ckt_a.from_levels(lv)
-    ckt_b.from_levels(lv)
-    sim_a.update_state()
-    sim_b.update_state()
-    for mod in mods:
-        _apply_modifier(ckt_a, mod, num_qubits)
-        _apply_modifier(ckt_b, mod, num_qubits)
-        sim_a.update_state()
-        sim_b.update_state()
-        np.testing.assert_allclose(sim_a.state(), sim_b.state(), atol=1e-9)
-    sim_a.close()
-    sim_b.close()
-
-
-@settings(**COMMON_SETTINGS)
 @given(num_qubits=st.integers(2, 4), data=st.data(), workers=st.sampled_from([1, 3]))
 def test_parallel_and_sequential_execution_agree(num_qubits, data, workers):
     lv = data.draw(levels_strategy(num_qubits))

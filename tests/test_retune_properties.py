@@ -26,13 +26,8 @@ COMMON_SETTINGS = dict(
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
 
-#: (fusion, copy_on_write) corners exercised per example.
-CONFIGS = [
-    (False, True),
-    (True, True),
-    (False, False),
-    (True, False),
-]
+#: fusion settings exercised per example.
+CONFIGS = [False, True]
 
 _PARAM_GATES = ["rz", "rx", "ry", "p"]
 
@@ -74,15 +69,9 @@ def param_levels_strategy(draw, num_qubits, max_levels=4):
     return levels
 
 
-def build(num_qubits, levels, *, fusion, cow):
+def build(num_qubits, levels, *, fusion):
     ckt = Circuit(num_qubits)
-    sim = QTaskSimulator(
-        ckt,
-        block_size=2,
-        num_workers=1,
-        fusion=fusion,
-        copy_on_write=cow,
-    )
+    sim = QTaskSimulator(ckt, block_size=2, num_workers=1, fusion=fusion)
     ckt.from_levels(levels)
     sim.update_state()
     return ckt, sim
@@ -96,14 +85,13 @@ def param_handles(ckt):
 @given(
     num_qubits=st.integers(2, 4),
     data=st.data(),
-    config=st.sampled_from(CONFIGS),
+    fusion=st.sampled_from(CONFIGS),
 )
-def test_retune_equals_reinsert_equals_dense(num_qubits, data, config):
+def test_retune_equals_reinsert_equals_dense(num_qubits, data, fusion):
     """The satellite invariant: retune == remove+insert == dense to 1e-10."""
-    fusion, cow = config
     levels = data.draw(param_levels_strategy(num_qubits))
-    ckt_a, sim_a = build(num_qubits, levels, fusion=fusion, cow=cow)
-    ckt_b, sim_b = build(num_qubits, levels, fusion=fusion, cow=cow)
+    ckt_a, sim_a = build(num_qubits, levels, fusion=fusion)
+    ckt_b, sim_b = build(num_qubits, levels, fusion=fusion)
     n_edits = data.draw(st.integers(1, 3))
     for _ in range(n_edits):
         handles_a = param_handles(ckt_a)
@@ -140,13 +128,12 @@ def test_retune_equals_reinsert_equals_dense(num_qubits, data, config):
 @given(
     num_qubits=st.integers(2, 4),
     data=st.data(),
-    config=st.sampled_from(CONFIGS),
+    fusion=st.sampled_from(CONFIGS),
 )
-def test_expectation_tracks_retunes(num_qubits, data, config):
+def test_expectation_tracks_retunes(num_qubits, data, fusion):
     """Cached block-wise expectations match the dense ground truth per edit."""
-    fusion, cow = config
     levels = data.draw(param_levels_strategy(num_qubits))
-    ckt, sim = build(num_qubits, levels, fusion=fusion, cow=cow)
+    ckt, sim = build(num_qubits, levels, fusion=fusion)
     obs = PauliSum(
         [
             PauliString({0: "Z"}, coefficient=0.75),

@@ -15,7 +15,6 @@ GOLDEN_KEYS = {
     "backend_fallbacks",
     "block_size",
     "cached_observable_partials",
-    "copy_on_write",
     "fusion",
     "last_affected_partitions",
     "last_elapsed_seconds",
@@ -27,7 +26,6 @@ GOLDEN_KEYS = {
     "num_stages",
     "num_updates",
     "num_workers",
-    "observable_cache",
     "plan_chunks",
     "plans_built",
     "run_retries",

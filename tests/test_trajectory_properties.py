@@ -30,13 +30,10 @@ from .conftest import random_level
 
 # every incremental-engine knob combination the equivalence bar names
 KNOB_MATRIX = [
-    dict(fusion=False, copy_on_write=True, block_size=4),
-    dict(fusion=True, copy_on_write=True, block_size=4),
-    dict(fusion=False, copy_on_write=True, block_size=2),
-    dict(fusion=True, copy_on_write=True, block_size=8),
-    dict(fusion=False, copy_on_write=False, block_size=4),
-    dict(fusion=True, copy_on_write=False, block_size=16),
-    dict(fusion=False, copy_on_write=False, block_size=2),
+    dict(fusion=False, block_size=4),
+    dict(fusion=True, block_size=4),
+    dict(fusion=False, block_size=2),
+    dict(fusion=True, block_size=8),
 ]
 
 
@@ -92,7 +89,7 @@ def test_incremental_matches_dense_across_all_knobs(circuit_seed, trajectory_see
             sim.close()
 
 
-@pytest.mark.parametrize("knobs", KNOB_MATRIX[:4])
+@pytest.mark.parametrize("knobs", KNOB_MATRIX)
 def test_incremental_edits_match_dense_per_trajectory(knobs):
     """Retunes/inserts around measurements stay oracle-exact incrementally."""
     ckt = Circuit(4, num_clbits=2)
@@ -108,8 +105,7 @@ def test_incremental_edits_match_dense_per_trajectory(knobs):
         for step, angle in enumerate((1.7, 0.4, 2.9)):
             ckt.update_gate(theta, angle)
             report = sim.update_state()
-            if knobs["copy_on_write"]:
-                assert report.was_incremental
+            assert report.was_incremental
             dense = DenseReferenceSimulator(
                 ckt, forced_outcomes=sim.outcomes.recorded_outcomes()
             )
