@@ -1,8 +1,11 @@
 """Figure 17: full-simulation runtime vs. number of worker threads.
 
 Sweeps the worker count for qTask and the Qulacs-like baseline on the paper's
-scaling circuits.  In CPython the GIL bounds the achievable speedup (see
-DESIGN.md); the benchmark records whatever curve the machine produces.
+scaling circuits.  qTask runs each update in order on the calling thread,
+so its per-update time no longer depends on the worker count; only the
+Qulacs-like baseline spreads its gate chunks over the workers.  In CPython
+the GIL bounds that speedup; the benchmark records whatever curve the
+machine produces.
 """
 
 import os

@@ -1,7 +1,9 @@
 """Figure 18: incremental-simulation runtime vs. number of worker threads.
 
 Same thread sweep as Fig. 17 but over a mixed insertion/removal workload
-(the paper collects 50 incremental iterations; 15 keep the suite fast).
+(the paper collects 50 incremental iterations; 15 keep the suite fast).  As
+in Fig. 17, qTask's per-update time no longer depends on the worker count:
+each update runs in order on the calling thread.
 """
 
 import os

@@ -1,8 +1,9 @@
 """Telemetry disabled-path overhead gate on the incremental-update cascade.
 
 The telemetry subsystem (``repro.telemetry``) instruments the hot update
-path: every stage task carries a trace context, every chunk checks the
-tracer's enabled flag, and every update feeds one histogram observation.
+path: every stage table checks the tracer's enabled flag and acquires a
+span, and every update activates its session's telemetry and feeds one
+histogram observation.
 With tracing *disabled* (the default) each site must cost a flag check and
 nothing else -- no span allocation, no attribute formatting.  This bench
 verifies that budget holds.
@@ -11,13 +12,14 @@ Two measurements:
 
 * ``overhead_fraction`` (**gating**): the disabled-path cost model.  A/B
   timing of disabled-vs-disabled is pure noise (both sides run identical
-  code), so the bench instead measures the *actual guard bundle* a stage
-  task pays on the disabled path (ambient-telemetry activate/deactivate,
-  ``trace_context`` setattr/getattr, the tracer flag check, a null-span
-  acquire) with a tight microbench, multiplies by a conservative count of
-  guard sites per update taken from the simulator's own plan counters, and
-  divides by the measured per-update wall time of the same cascade.  The
-  gate asserts this fraction stays at or below ``--max-overhead`` (2%).
+  code), so the bench instead measures a *guard bundle* with a tight
+  microbench (ambient-telemetry activate/deactivate, a closure attribute
+  setattr/getattr, the tracer flag check, a null-span acquire -- a superset
+  of what one stage table pays on the disabled path), multiplies by a
+  conservative count of guard sites per update taken from the simulator's
+  own plan counters, and divides by the measured per-update wall time of
+  the same cascade.  The gate asserts this fraction stays at or below
+  ``--max-overhead`` (2%).
 
 * ``tracing_overhead_fraction`` (informational): median per-update time
   with tracing *enabled* vs. disabled -- what a user pays to turn spans on.
@@ -93,8 +95,8 @@ def run_mode(num_qubits, num_stages, *, block_size, cycles, tracing):
 def measure_guard_ns(iterations=200_000):
     """Nanoseconds one disabled-path guard bundle costs, measured directly.
 
-    The bundle reproduces everything a stage task pays when tracing is off:
-    ambient-telemetry activate/current/deactivate, the ``trace_context``
+    The bundle is a superset of what one stage table pays when tracing is
+    off: ambient-telemetry activate/current/deactivate, a closure attribute
     setattr + getattr pair, the tracer ``enabled`` flag check, and a
     disabled ``span()`` acquire (which returns the shared null span).
     """
@@ -135,14 +137,14 @@ def run_ab(num_qubits=12, num_stages=120, block_size=16, cycles=6):
     on_median = statistics.median(on_times)
     state_diff = float(np.abs(on_state - off_state).max())
 
-    # Guard sites per update, from the simulator's own plan counters.  Every
-    # chunk is one executor task carrying one guard bundle; each chunk also
-    # pays an in-task flag check, and the update wrapper itself adds a
-    # handful of top-level checks.  7x chunks + 8 is deliberately generous
-    # (chunks >= stage tasks, and each task pays ~5 guard ops).
+    # Guard sites per update, from the simulator's own plan counters.  Each
+    # stage table pays at most one guard bundle, and the update wrapper
+    # itself adds a handful of top-level checks.  7x tables + 8 is
+    # deliberately generous (stage plans >= executed tables, and a table
+    # pays ~2 of the bundle's guard ops).
     updates = max(1, off_stats["updates_planned"])
-    chunks_per_update = off_stats["plan_chunks"] / updates
-    guards_per_update = 8 + 7.0 * chunks_per_update
+    tables_per_update = off_stats["plans_built"] / updates
+    guards_per_update = 8 + 7.0 * tables_per_update
 
     guard_ns = measure_guard_ns()
     overhead_fraction = (guard_ns * 1e-9 * guards_per_update) / off_median
@@ -158,7 +160,7 @@ def run_ab(num_qubits=12, num_stages=120, block_size=16, cycles=6):
         "enabled_ms_per_update": 1e3 * on_median,
         "guard_ns": guard_ns,
         "guards_per_update": guards_per_update,
-        "chunks_per_update": chunks_per_update,
+        "tables_per_update": tables_per_update,
         "overhead_fraction": overhead_fraction,
         "tracing_overhead_fraction": tracing_overhead,
         "spans_recorded": spans,

@@ -1,7 +1,9 @@
 """Figures 17-18: multi-threading scalability of full and incremental runs.
 
 Sweeps the number of worker threads for qTask and the Qulacs-like baseline on
-the paper's two scaling circuits (qft, big_adder).
+the paper's two scaling circuits (qft, big_adder).  qTask runs each update in
+order on the calling thread, so its series is flat in the worker count up to
+noise; the Qulacs-like baseline maps its gate chunks over the workers.
 
 Run directly::
 

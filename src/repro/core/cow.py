@@ -14,9 +14,10 @@ the ordered list of stage *owners* that have materialised it.  "Which store
 owns block b as of stage k?" is a binary search over b's writers (O(log W),
 W = writers of b) instead of an O(S) walk over every earlier stage, and
 building a per-stage reader is O(1).  The directory is maintained
-incrementally by the stores themselves on every
-``write_block``/``drop_block``/``clear`` (stores carry an optional
-back-reference installed by :meth:`BlockDirectory.attach`).
+incrementally by the stores themselves on every write that adds a block
+(stores carry an optional back-reference installed by
+:meth:`BlockDirectory.attach`); a store never drops a block, so an owner
+leaves the index only when :meth:`BlockDirectory.detach` removes it.
 
 Directory entries are kept sorted by the owner's ``seq`` (its position in the
 global stage order).  Stage insertion/removal renumbers seqs, but never
@@ -249,19 +250,6 @@ class BlockStore:
         if new_blocks and self._directory is not None:
             self._directory._on_write_many(self._dir_owner, new_blocks)
 
-    def drop_block(self, block: int) -> None:
-        if self._blocks.pop(block, None) is not None:
-            self._release_shared(block)
-            if self._directory is not None:
-                self._directory._on_drop(self._dir_owner, block)
-
-    def clear(self) -> None:
-        if self._directory is not None and self._blocks:
-            self._directory._on_clear(self._dir_owner, tuple(self._blocks))
-        for b in tuple(self._shared):
-            self._release_shared(b)
-        self._blocks.clear()
-
     # -- read side --------------------------------------------------------
 
     def has_block(self, block: int) -> bool:
@@ -442,14 +430,14 @@ class BlockDirectory:
     ``seq < k``; blocks nobody wrote fall back to the initial state.
 
     Maintenance is push-based: :meth:`attach` installs a back-reference on
-    the owner's store, whose ``write_block``/``drop_block``/``clear`` then
-    report ownership changes.  Entries survive stage re-sequencing because
+    the owner's store, whose ``write_block``/``write_range``/``share_from``
+    then report newly held blocks.  Entries survive stage re-sequencing because
     insertion/removal never reorders surviving stages relative to each
     other, so seq-sorted lists stay sorted under renumbering.
 
-    Mutations take a lock (they happen on worker threads during execution);
-    lookups are lock-free, which is safe because the partition task graph
-    already orders every write of a block before any read that must see it.
+    Mutations take a lock; lookups are lock-free, which is safe because an
+    update runs its stages in topological order, so every write of a block
+    lands before any read that must see it.
     """
 
     def __init__(self, initial: BlockStore) -> None:
@@ -525,19 +513,6 @@ class BlockDirectory:
                 elif owner not in lst:
                     self._insert_sorted(lst, owner)
 
-    def _on_drop(self, owner, block: int) -> None:
-        with self._lock:
-            lst = self._writers.get(block)
-            if lst is not None and owner in lst:
-                lst.remove(owner)
-
-    def _on_clear(self, owner, blocks: Sequence[int]) -> None:
-        with self._lock:
-            for b in blocks:
-                lst = self._writers.get(b)
-                if lst is not None and owner in lst:
-                    lst.remove(owner)
-
     # -- resolution -------------------------------------------------------
 
     def resolve_store(self, block: int, before_seq: int) -> BlockStore:
@@ -545,15 +520,13 @@ class BlockDirectory:
 
         O(log W) in the number of writers of the block; falls back to the
         initial-state store when no stage with ``seq < before_seq`` holds it.
+        Stores never drop a block, so every listed writer holds it.
         """
         lst = self._writers.get(block)
         if lst:
             lo = self._bisect_seq(lst, before_seq)
-            while lo:
-                store = lst[lo - 1].store
-                if store.has_block(block):
-                    return store
-                lo -= 1  # racing drop: fall back to the next older writer
+            if lo:
+                return lst[lo - 1].store
         return self.initial
 
     def writers_of(self, block: int) -> Tuple[object, ...]:

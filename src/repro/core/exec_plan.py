@@ -1,10 +1,9 @@
 """Batch-major execution plans: the dirty frontier as run tables.
 
-Turning each affected partition node into its own executor task, with one
-Python closure per aligned block run, would mean thousands of closures,
-task-graph nodes and dependency counters for a deep dirty cone, all
-dispatched under the GIL.  The plan layer compiles that frontier *once*
-into a handful of batch-major structures instead:
+Running each affected partition node on its own, with one Python call per
+aligned block run, would mean thousands of dispatches for a deep dirty
+cone.  The plan layer compiles that frontier *once* into a handful of
+batch-major structures instead:
 
 * :class:`RunSpec` -- one aligned kernel run, described as data (kind,
   amplitude range, qubit tuple, classified action / payload) rather than as
@@ -18,13 +17,12 @@ into a handful of batch-major structures instead:
   drawn at execution time) the runs are emitted eagerly at plan-build time;
   dynamic and matrix--vector stages defer emission until after their
   ``prepare`` ran.
-* :class:`ExecutionPlan` -- every stage plan of one update plus the
-  stage-granular dependency edges derived from the partition graph.
+* :class:`ExecutionPlan` -- every stage plan of one update, in the
+  partition graph's topological order.
 
-The executors then receive one task per *stage* (optionally split into at
-most ``Executor.subflow_width`` chunk subflows) instead of one per
-partition, and :class:`~repro.core.kernels.NumpyBatchBackend` executes
-each run table in bulk.
+The simulator then runs the stage plans one after another, and
+:class:`~repro.core.kernels.NumpyBatchBackend` executes each stage's whole
+run table in bulk.
 
 This module is pure data/plumbing: it imports no kernels and no executor,
 so the kernels in :mod:`repro.core.kernels` and the orchestration in
@@ -142,25 +140,6 @@ class RunTable:
             if idx.size:
                 yield op, idx
 
-    def split(self, parts: int) -> List["RunTable"]:
-        """At most ``parts`` contiguous sub-tables covering every run.
-
-        Runs of one stage write disjoint ranges, so the sub-tables can
-        execute concurrently; the operation table is shared by reference.
-        """
-        n = self.num_runs
-        parts = max(1, min(int(parts), n)) if n else 1
-        if parts <= 1:
-            return [self]
-        bounds = np.linspace(0, n, parts + 1, dtype=np.int64)
-        out: List[RunTable] = []
-        for a, b in zip(bounds[:-1], bounds[1:]):
-            if b > a:
-                out.append(
-                    RunTable(self.los[a:b], self.his[a:b], self.op_ids[a:b], self.ops)
-                )
-        return out
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RunTable(runs={self.num_runs}, ops={len(self.ops)})"
 
@@ -176,7 +155,6 @@ class StagePlan:
         "block_writes",
         "_static_runs",
         "emitted_runs",
-        "num_chunks",
     )
 
     def __init__(self, stage, reader) -> None:
@@ -189,9 +167,8 @@ class StagePlan:
         #: runs emitted at build time for static stages; ``None`` defers
         #: emission to execution time (after ``prepare`` ran)
         self._static_runs: Optional[List[RunSpec]] = None
-        #: filled in by the executing task body (one writer, read after join)
+        #: filled in by :meth:`build_table` when the stage executes
         self.emitted_runs = 0
-        self.num_chunks = 0
 
     def freeze_static(self) -> None:
         """Pre-emit the runs of a stage whose emission is input-independent."""
@@ -212,19 +189,12 @@ class StagePlan:
 
 
 class ExecutionPlan:
-    """One update's worth of stage plans plus stage-granular dependencies."""
+    """One update's worth of stage plans, in topological order."""
 
-    __slots__ = ("stage_plans", "edges", "block_writes")
+    __slots__ = ("stage_plans", "block_writes")
 
-    def __init__(
-        self,
-        stage_plans: List[StagePlan],
-        edges: List[Tuple[int, int]],
-        block_writes: int,
-    ) -> None:
+    def __init__(self, stage_plans: List[StagePlan], block_writes: int) -> None:
         self.stage_plans = stage_plans
-        #: ``(pred stage uid, succ stage uid)`` pairs, deduplicated
-        self.edges = edges
         self.block_writes = block_writes
 
     @property
@@ -233,9 +203,6 @@ class ExecutionPlan:
 
     def total_runs(self) -> int:
         return sum(sp.emitted_runs for sp in self.stage_plans)
-
-    def total_chunks(self) -> int:
-        return sum(sp.num_chunks for sp in self.stage_plans)
 
 
 def build_execution_plan(
@@ -247,11 +214,10 @@ def build_execution_plan(
     ``affected`` must be in the partition graph's topological order (stage
     seq ascending, sync nodes leading their stage -- exactly what
     ``PartitionGraph.affected_nodes`` returns).  The frontier is walked
-    once: each node folds into its stage's :class:`StagePlan`, and every
-    cross-stage partition edge collapses onto one stage-granular edge.
-    Coarsening node edges to stage edges only *adds* ordering (edges always
-    point from earlier to later stages, partitions of one stage never
-    depend on each other), so the plan DAG is a correct, smaller schedule.
+    once: each node folds into its stage's :class:`StagePlan`.  Stage plans
+    keep the order of their first node, so running them in list order is
+    a correct schedule: partition edges always point from earlier to later
+    stages, and partitions of one stage never depend on each other.
     """
     plans: Dict[int, StagePlan] = {}
     order: List[StagePlan] = []
@@ -270,20 +236,7 @@ def build_execution_plan(
             block_writes += len(node.block_range)
     for sp in order:
         sp.freeze_static()
-
-    edge_set: set = set()
-    edges: List[Tuple[int, int]] = []
-    for node in affected:
-        pred_uid = node.stage.uid
-        for succ in node.succs:
-            succ_uid = succ.stage.uid
-            if succ_uid == pred_uid or succ_uid not in plans:
-                continue
-            key = (pred_uid, succ_uid)
-            if key not in edge_set:
-                edge_set.add(key)
-                edges.append(key)
-    return ExecutionPlan(order, edges, block_writes)
+    return ExecutionPlan(order, block_writes)
 
 
 @dataclass(frozen=True)
@@ -291,15 +244,14 @@ class PlanReport:
     """Dispatch-overhead accounting of the plan pipeline (one session).
 
     The :class:`~repro.core.cow.MemoryReport` sibling for execution plans:
-    how many plans were compiled, how many runs they batched, how many
-    executor-visible chunks those became and how often a chunk fell back to
-    run-granular execution.  ``runs_per_plan`` is the headline number -- the
-    dispatch work one executor task now absorbs.
+    how many plans were compiled, how many runs they batched and how often
+    a stage table fell back to run-granular execution.  ``runs_per_plan``
+    is the headline number -- the dispatch work one batched backend call
+    absorbs.
     """
 
     plans_built: int
     runs_batched: int
-    plan_chunks: int
     backend_fallbacks: int
     updates_planned: int
     #: per-run re-executions after an injected/environmental fault inside
@@ -318,7 +270,6 @@ class PlanReport:
         return {
             "plans_built": self.plans_built,
             "runs_batched": self.runs_batched,
-            "plan_chunks": self.plan_chunks,
             "backend_fallbacks": self.backend_fallbacks,
             "updates_planned": self.updates_planned,
             "runs_per_plan": self.runs_per_plan,

@@ -10,7 +10,6 @@ a :class:`FaultPlan` is a seeded schedule of synthetic failures at named
 site                  where it fires
 ====================  =====================================================
 ``kernel.run``        per-run kernel execution (``core.kernels.execute_run``)
-``executor.task``     work-stealing executor task body
 ``cow.publish``       block publish into a :class:`~repro.core.cow.BlockStore`
 ====================  =====================================================
 
@@ -21,11 +20,12 @@ Design constraints (all load-bearing):
   plan installed the hot paths pay one pointer comparison.
 
 * **Armed scope.**  Even with a plan installed, faults only fire inside
-  an :func:`armed` scope.  The simulator arms the plan around recovered
-  regions (``update_state``); direct unit-test calls to ``write_block``
-  or ``execute_plan`` outside an update therefore never see synthetic
-  faults, which is what lets the chaos CI job run the *whole* tier-1
-  suite with a plan installed and still expect green.
+  an :func:`armed` scope, on the thread that opened it.  The simulator
+  arms the plan around recovered regions (``update_state``); direct
+  unit-test calls to ``write_block`` or ``execute_plan`` outside an
+  update -- or on another thread while an update runs -- therefore never
+  see synthetic faults, which is what lets the chaos CI job run the
+  *whole* tier-1 suite with a plan installed and still expect green.
 
 * **Deterministic and replayable.**  Probabilistic firing draws from a
   per-site ``random.Random`` stream keyed ``(seed, site)``, so the k-th
@@ -62,7 +62,6 @@ __all__ = [
 #: rejects unknown sites so a typo'd probability map fails loudly.
 FAULT_SITES: Tuple[str, ...] = (
     "kernel.run",
-    "executor.task",
     "cow.publish",
 )
 
@@ -147,8 +146,8 @@ class FaultPlan:
         """Advance ``site``'s stream one armed evaluation.
 
         Returns ``(fire, occurrence)`` where ``occurrence`` is the
-        1-based index of this evaluation.  Thread-safe: concurrent
-        executor workers evaluating the same site serialize on the plan
+        1-based index of this evaluation.  Thread-safe: sessions
+        updating on different threads serialize on the plan
         lock so counters stay exact (the *order* of concurrent draws is
         scheduling-dependent, but the multiset of decisions is not).
         """
@@ -212,12 +211,10 @@ class FaultPlan:
 #: The installed plan, or ``None``.  Hot paths check this one global.
 ACTIVE: Optional[FaultPlan] = None
 
-#: Armed-scope depth.  Process-global (not thread-local) on purpose: the
-#: thread that arms a scope (``update_state``) is not the thread that hits
-#: the sites -- executor workers run on pool threads -- so a thread-local
-#: flag would never fire there.
-_armed_depth = 0
-_armed_lock = threading.Lock()
+#: Per-thread armed-scope depth.  An update runs every site on the thread
+#: that armed it, so a scope arms only its own thread: unarmed work on other
+#: threads (a concurrent restore, another session's reads) never fires.
+_armed = threading.local()
 
 
 def install(plan: Optional[FaultPlan]) -> Optional[FaultPlan]:
@@ -241,24 +238,22 @@ def active_plan() -> Optional[FaultPlan]:
 
 
 def is_armed() -> bool:
-    return _armed_depth > 0
+    """Whether the calling thread is inside an :func:`armed` scope."""
+    return getattr(_armed, "depth", 0) > 0
 
 
 @contextmanager
 def armed() -> Iterator[None]:
     """Scope inside which an installed plan's sites may fire.
 
-    Re-entrant and process-wide; the plan stays armed until every open
-    scope has exited.
+    Re-entrant and thread-local; the calling thread stays armed until every
+    scope it opened has exited.
     """
-    global _armed_depth
-    with _armed_lock:
-        _armed_depth += 1
+    _armed.depth = getattr(_armed, "depth", 0) + 1
     try:
         yield
     finally:
-        with _armed_lock:
-            _armed_depth -= 1
+        _armed.depth -= 1
 
 
 def fire(site: str) -> None:

@@ -1,14 +1,16 @@
-"""The qTask simulator: incremental, task-parallel state-vector simulation.
+"""The qTask simulator: incremental state-vector simulation.
 
 :class:`QTaskSimulator` observes a :class:`~repro.core.circuit.Circuit` and
 maintains, across circuit modifiers, the partition task graph of §III.C-D.
 Calling :meth:`QTaskSimulator.update_state` re-simulates exactly the
 partitions affected by the modifiers issued since the previous update (found
-by DFS from the frontier list, §III.E), executing them as a Taskflow-style
-task graph on the configured executor.  Stage inputs are resolved through
-the simulator-owned :class:`~repro.core.cow.BlockDirectory` (O(log W) block
-ownership lookups), and partition bodies execute as batched aligned block
-runs feeding the strided kernels.
+by DFS from the frontier list, §III.E), compiled into one run table per
+affected stage and executed in topological order on the calling thread.
+Stage inputs are resolved through the simulator-owned
+:class:`~repro.core.cow.BlockDirectory` (O(log W) block ownership lookups),
+and each run table feeds the strided kernels in batches.  The configured
+executor sizes coarse fan-out across whole sessions (shot fleets, sweeps),
+not the work inside one update.
 
 The facade class most applications use is :class:`repro.QTask`, which bundles
 a circuit and a simulator behind the paper's Table-II API.
@@ -25,7 +27,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Text
 
 import numpy as np
 
-from ..parallel import Executor, SequentialExecutor, TaskGraph, make_executor
+from ..parallel import Executor, make_executor
 from ..telemetry import Telemetry
 from ..telemetry import session as tsession
 from . import faults
@@ -191,9 +193,6 @@ class QTaskSimulator(CircuitObserver):
         self._runs_batched = m.counter(
             "plan.runs_batched", help="block runs batched into plans"
         )
-        self._plan_chunks = m.counter(
-            "plan.chunks", help="executor-visible plan chunks"
-        )
         self._updates_planned = m.counter(
             "plan.updates_planned", help="updates through the plan pipeline"
         )
@@ -267,16 +266,14 @@ class QTaskSimulator(CircuitObserver):
         child's entry, leaving the parent untouched; edits on either side
         never perturb the other.
 
-        By default the child *shares the parent's executor* (``close()`` on
-        the child will not shut it down), which is what lets a
-        :class:`~repro.parallel.sweep.SweepRunner` fan many forked sessions
-        out across one work-stealing pool; pass ``executor`` to give the
-        child its own instead (a sweep typically hands each fork a
-        :class:`~repro.parallel.SequentialExecutor` so parallelism lives at
-        the sweep level, not nested inside each update).  Pending modifiers
-        on this simulator are flushed first so the forked state is well
-        defined; the child's gate-handle translation table is exposed as
-        ``forked_gate_map`` (parent handle uid -> child handle).
+        By default the child shares the parent's executor; pass ``executor``
+        to give it another (shot fleets and sweeps hand each fork a
+        :class:`~repro.parallel.SequentialExecutor`).  Either way the
+        executor stays the caller's: ``close()`` on the child never shuts it
+        down.  Pending modifiers on this simulator are flushed first so the
+        forked state is well defined; the child's gate-handle translation
+        table is exposed as ``forked_gate_map`` (parent handle uid -> child
+        handle).
         """
         # The forked state is "the state after all issued modifiers".
         if self.graph.frontiers or self._num_updates == 0:
@@ -290,7 +287,7 @@ class QTaskSimulator(CircuitObserver):
         child.max_fused_qubits = self.max_fused_qubits
         child.dim = self.dim
         child.n_blocks = self.n_blocks
-        child._owns_executor = executor is not None
+        child._owns_executor = False
         child.executor = executor if executor is not None else self.executor
         child._backend = self._backend
         # The child gets its own registry (counters start at zero) tagged
@@ -889,14 +886,13 @@ class QTaskSimulator(CircuitObserver):
         return DirectoryReader(self._directory, stage.seq)
 
     def _execute(self, affected: List[PartitionNode]) -> int:
-        """Compile the frontier into one plan per stage and batch-execute it.
+        """Compile the frontier into one plan per stage and run it in order.
 
-        One executor task per affected *stage* (not per partition): the task
-        runs the stage's ``prepare`` when its sync barrier is affected,
-        materialises the stage's run table, and hands it -- split into at
-        most ``Executor.subflow_width`` chunk subflows -- to
-        :class:`NumpyBatchBackend`.  Stage-granular edges reproduce the partition graph's
-        ordering (edges only ever point to later stages).
+        Stage plans arrive in topological order (stage seq ascending, sync
+        nodes first), so running them one after another on the calling
+        thread honours every partition-graph edge.  Each stage runs its
+        ``prepare`` when its sync barrier is affected, materialises its run
+        table and hands the whole table to :class:`NumpyBatchBackend`.
         """
         tel = self.telemetry
         if tel.tracer.enabled:
@@ -906,90 +902,19 @@ class QTaskSimulator(CircuitObserver):
                 pspan.set("runs", plan.total_runs())
         else:
             plan = build_execution_plan(affected, self._reader_for)
-        # Parent span for executor-side task spans: the enclosing ``update``
-        # span on this thread (None when tracing is off).
-        parent_span = tel.tracer.current_span_id()
-        graph = TaskGraph("update_state")
-        tasks: Dict[int, object] = {}
         for sp in plan.stage_plans:
-            body = self._make_plan_body(sp)
-            # Trace context rides on the closure: Executor._guarded sees it
-            # and re-activates this session's telemetry (and span parent)
-            # inside whichever worker thread steals the task.
-            body.trace_context = (tel, parent_span)
-            tasks[sp.stage.uid] = graph.emplace(body, name=sp.stage.label())
-        for pred_uid, succ_uid in plan.edges:
-            tasks[pred_uid].precede(tasks[succ_uid])
-        self.executor.run(graph)
+            if sp.has_sync:
+                with tel.tracer.span("stage.prepare", {"stage": sp.stage.label()}):
+                    sp.stage.prepare(sp.reader)
+            table = sp.build_table()
+            if table.num_runs:
+                self._run_plan_chunk(sp, table)
 
         self._plans_built.inc(plan.num_stages)
         self._runs_batched.inc(plan.total_runs())
-        self._plan_chunks.inc(plan.total_chunks())
         self._updates_planned.inc()
 
         return plan.block_writes
-
-    def _sync_prepare_runner(self, stage: Stage, reader):
-        """An idempotent ``prepare`` thunk for sync (collapse) stages.
-
-        Executor-level fault retries re-run whole task bodies; a collapse
-        stage's ``prepare`` draws from a keyed stream, so a naive re-run
-        would consume one extra draw and fork the trajectory away from a
-        clean run's.  The thunk snapshots the classical state on first
-        entry and rolls back before every re-entry, making re-preparation
-        redraw the identical outcome.  Safe because sync stages are
-        totally ordered by their all-blocks dependencies: no other
-        record-writing task can be in flight concurrently.
-        """
-        snap: List[tuple] = []
-
-        def run_prepare():
-            if faults.ACTIVE is not None:
-                if snap:
-                    self.outcomes.restore(snap[0])
-                else:
-                    snap.append(self.outcomes.snapshot())
-            stage.prepare(reader)
-
-        return run_prepare
-
-    def _make_plan_body(self, sp: StagePlan):
-        width = max(1, int(getattr(self.executor, "subflow_width", 1)))
-        run_prepare = (
-            self._sync_prepare_runner(sp.stage, sp.reader) if sp.has_sync else None
-        )
-
-        tel = self.telemetry
-
-        def body():
-            if run_prepare is not None:
-                if tel.tracer.enabled:
-                    with tel.tracer.span(
-                        "stage.prepare", {"stage": sp.stage.label()}
-                    ):
-                        run_prepare()
-                else:
-                    run_prepare()
-            table = sp.build_table()
-            if table.num_runs == 0:
-                return None
-            chunks = table.split(width)
-            sp.num_chunks = len(chunks)
-            if len(chunks) == 1:
-                self._run_plan_chunk(sp, chunks[0])
-                return None
-            # Subflow children run on arbitrary worker threads; carry the
-            # trace context (parented to the current span, i.e. the update)
-            # onto each chunk closure so their spans nest correctly.
-            parent = tel.tracer.current_span_id()
-            subtasks = []
-            for c in chunks:
-                fn = (lambda c=c: self._run_plan_chunk(sp, c))
-                fn.trace_context = (tel, parent)
-                subtasks.append(fn)
-            return subtasks
-
-        return body
 
     def _run_plan_chunk(self, sp: StagePlan, chunk) -> None:
         if self.telemetry.tracer.enabled:
@@ -1019,7 +944,7 @@ class QTaskSimulator(CircuitObserver):
                 reason=f"{type(exc).__name__}: {exc}",
             )
             logger.warning(
-                "plan chunk failed (%s); falling back to run-granular "
+                "stage table failed (%s); falling back to run-granular "
                 "execution",
                 exc,
             )
@@ -1145,13 +1070,12 @@ class QTaskSimulator(CircuitObserver):
         """Dispatch-overhead accounting of the plan pipeline.
 
         The :meth:`memory_report` sibling for execution plans: plans
-        compiled, runs batched into them, executor-visible chunks and how
-        often a chunk fell back to run-granular execution after a fault.
+        compiled, runs batched into them and how often a stage table fell
+        back to run-granular execution after a fault.
         """
         return PlanReport(
             plans_built=self._plans_built.value,
             runs_batched=self._runs_batched.value,
-            plan_chunks=self._plan_chunks.value,
             backend_fallbacks=self._backend_fallbacks.value,
             updates_planned=self._updates_planned.value,
             run_retries=self._run_retries.value,
@@ -1187,16 +1111,15 @@ class QTaskSimulator(CircuitObserver):
             }
         )
         stats.update(self.plan_report().as_dict())
-        stats["task_retries"] = getattr(self.executor, "task_retries", 0)
         self._refresh_gauges(stats)
         return stats
 
     def _refresh_gauges(self, stats: Dict[str, object]) -> None:
         """Mirror point-in-time statistics into the registry as gauges.
 
-        Counters already live in the registry; the graph shape, last-update
-        outcome and executor retry mirror are point-in-time readings, so
-        they surface as gauges -- refreshed on every ``statistics()`` /
+        Counters already live in the registry; the graph shape and the
+        last-update outcome are point-in-time readings, so they surface as
+        gauges -- refreshed on every ``statistics()`` /
         ``telemetry_report()`` call rather than written on the hot path.
         """
         m = self.telemetry.metrics
@@ -1211,13 +1134,12 @@ class QTaskSimulator(CircuitObserver):
         m.gauge("update.last_elapsed_seconds", unit="s").set(
             stats["last_elapsed_seconds"]
         )
-        m.gauge("executor.task_retries").set(stats["task_retries"])
 
     def explain_last_update(self) -> str:
         """A human-readable account of the most recent ``update_state``.
 
-        Renders the update report, the plan pipeline's view of it, and --
-        the part no counter can answer -- the time-ordered recovery events
+        Renders the update report and -- the part no counter can answer --
+        the time-ordered recovery events
         (faults, retries, fallbacks) that fired during the update.
         """
         report = self.last_update
@@ -1231,7 +1153,6 @@ class QTaskSimulator(CircuitObserver):
                 f" {report.executed_block_writes} block writes,"
                 f" {report.elapsed_seconds * 1e3:.2f} ms"
             ),
-            f"  {self._plan_chunks.value} plan chunks total",
         ]
         events = self.telemetry.events.events(since=self._update_event_mark)
         if events:

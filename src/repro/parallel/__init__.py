@@ -5,21 +5,23 @@ express inter-gate operation parallelism, *subflows* (dynamic tasking) express
 intra-gate operation parallelism, and a work-stealing scheduler executes the
 whole graph with dynamic load balancing (§III.F.1).
 
-This package reproduces that structure in Python:
+This package reproduces that runtime in Python:
 
 * :class:`~repro.parallel.taskgraph.TaskGraph` / :class:`~repro.parallel.taskgraph.Task`
   -- the graph programming model (``precede`` / ``succeed`` / subflows),
 * :class:`~repro.parallel.executor.WorkStealingExecutor` -- a thread-based
   work-stealing scheduler (per-worker deques, LIFO pop / FIFO steal),
 * :class:`~repro.parallel.executor.SequentialExecutor` -- a deterministic
-  single-threaded executor used for tests and as the 1-core datapoint of the
-  scalability experiments,
+  single-threaded executor,
 * :func:`~repro.parallel.parallel_for.chunk_indices` -- the block-size
-  chunking of an index space used for intra-gate parallelism.
+  chunking of an index space.
 
-The GIL obviously limits speedups for tiny tasks; the numpy kernels release
-the GIL during the heavy array work, which is where the available parallelism
-lives (see DESIGN.md, "Substitutions").
+Under the GIL, per-update tasks only added dispatch cost on every measured
+workload, so :meth:`~repro.core.simulator.QTaskSimulator.update_state` runs
+its stage plans in order on the calling thread.  The executors here fan out
+coarse, independent work instead: shot fleets (``QTask.run_shots``),
+:class:`~repro.parallel.sweep.SweepRunner` sweeps, service jobs and the
+baselines' ``map`` calls.
 """
 
 from .taskgraph import Task, TaskGraph

@@ -5,16 +5,17 @@ from Taskflow (§III.F.1): a fixed pool of worker threads, per-worker deques
 with stealing, dependency counters released as predecessors complete, and
 subflows (dynamically spawned tasks joined back into their parent).  The
 :class:`SequentialExecutor` runs the same graphs deterministically on the
-calling thread and doubles as the one-core data point in the scalability
-experiments (Figs. 17/18).
+calling thread.  The simulator runs each update in order on its calling
+thread; executors fan out coarse work across whole sessions (shot fleets,
+parameter sweeps, service jobs, baseline ``map`` calls).
 
 ``run`` is re-entrant: every invocation carries its own :class:`_RunState`
 (pending counter plus dependency map), so independent graphs can execute
 concurrently on one shared worker pool -- the execution model behind
 session forking and :class:`~repro.parallel.sweep.SweepRunner`.  A ``run``
-issued *from a worker thread* (e.g. a forked session's ``update_state``
-inside a sweep task) does not block the pool: the worker keeps taking and
-executing queued work from any run until its own graph completes.
+issued *from a worker thread* (e.g. a nested ``map`` inside a sweep task)
+does not block the pool: the worker keeps taking and executing queued work
+from any run until its own graph completes.
 
 Subflow children execute in spawn order on both executors (depth-first for
 nested spawns), so order-sensitive subflows observe the same schedule under
@@ -28,9 +29,7 @@ import threading
 from abc import ABC, abstractmethod
 from typing import Callable, Dict, List, Optional, Sequence
 
-from ..core import faults
-from ..core.faults import FaultInjected
-from ..telemetry import session as tsession
+from ..core.exceptions import ExecutorError
 from .taskgraph import Task, TaskGraph
 from .workqueue import StealScheduler
 
@@ -40,13 +39,6 @@ __all__ = [
     "WorkStealingExecutor",
     "make_executor",
 ]
-
-#: bounded in-place retries of a task body that hit an injected fault.
-#: Task bodies write disjoint output ranges (the contract that makes the
-#: graph parallelisable in the first place), so re-running one is safe; the
-#: bound keeps a pathological plan from spinning forever -- past it the
-#: fault propagates to ``run()`` and the simulator's update-level retry.
-_TASK_FAULT_RETRIES = 3
 
 
 def _attach_task_context(exc: BaseException, label: Optional[str]) -> None:
@@ -72,68 +64,6 @@ class Executor(ABC):
 
     #: number of worker threads (1 for the sequential executor)
     num_workers: int = 1
-
-    #: task bodies re-run in place after an injected fault (see
-    #: ``_TASK_FAULT_RETRIES``); informational, merged into statistics()
-    task_retries: int = 0
-
-    def _guarded(self, fn: Callable[[], object]) -> object:
-        """Run a task body under the ``executor.task`` fault site.
-
-        Task bodies stamped with a ``trace_context`` attribute -- a
-        ``(telemetry, parent_span_id)`` tuple the simulator's plan pipeline
-        attaches -- first re-activate that session's telemetry on *this*
-        thread (workers steal tasks, so ambient context does not follow)
-        and parent any spans the body opens to the caller's span.  Unmarked
-        bodies skip all of it on a single ``getattr`` miss.
-
-        With no fault plan installed the fault envelope is one global-load
-        branch around ``fn()``; with one armed, injected faults trigger
-        bounded in-place retries (task bodies are idempotent by the
-        disjoint-writes contract) before propagating.
-        """
-        ctx = getattr(fn, "trace_context", None)
-        if ctx is None:
-            # graph tasks arrive as the bound ``Task.run`` method; the
-            # stamped closure is the task's ``fn``
-            task = getattr(fn, "__self__", None)
-            if task is not None:
-                ctx = getattr(getattr(task, "fn", None), "trace_context", None)
-        if ctx is None:
-            return self._run_guarded(fn)
-        telemetry, parent_span = ctx
-        prev_tel = tsession.activate(telemetry)
-        tracer = telemetry.tracer
-        prev_span = tracer.attach(parent_span) if tracer.enabled else None
-        try:
-            return self._run_guarded(fn)
-        finally:
-            if tracer.enabled:
-                tracer.detach(prev_span)
-            tsession.deactivate(prev_tel)
-
-    def _run_guarded(self, fn: Callable[[], object]) -> object:
-        if faults.ACTIVE is None:
-            return fn()
-        attempt = 0
-        while True:
-            try:
-                faults.fire("executor.task")
-                return fn()
-            except FaultInjected:
-                attempt += 1
-                if attempt > _TASK_FAULT_RETRIES:
-                    raise
-                self.task_retries += 1
-                tsession.emit_event("task.retry", attempt=attempt)
-
-    #: how many subflow children a plan-granular task body should hand back:
-    #: the simulator's plan pipeline splits one stage's run table into at
-    #: most this many chunk subflows.  1 (sequential) keeps a stage's whole
-    #: table in one batched backend call -- exactly the submission shape the
-    #: batching kernels want; the work-stealing executor widens it to its
-    #: worker count so big tables still spread across the pool.
-    subflow_width: int = 1
 
     @abstractmethod
     def run(self, graph: TaskGraph) -> None:
@@ -172,14 +102,14 @@ class SequentialExecutor(Executor):
         order = graph.topological_order()
         for task in order:
             try:
-                sub = self._guarded(task.run)
+                sub = task.run()
                 # Subflow: run spawned callables depth-first, children of one
                 # spawn in spawn order (matching the work-stealing executor's
                 # single-worker schedule).
                 stack = list(reversed(sub or []))
                 while stack:
                     fn = stack.pop()
-                    result = self._guarded(fn)
+                    result = fn()
                     if callable(result):
                         stack.append(result)
                     elif isinstance(result, (list, tuple)) and all(
@@ -287,7 +217,6 @@ class WorkStealingExecutor(Executor):
     def __init__(self, num_workers: Optional[int] = None, *, spin_sleep: float = 5e-5) -> None:
         cpu = os.cpu_count() or 1
         self.num_workers = max(1, int(num_workers) if num_workers else cpu)
-        self.subflow_width = self.num_workers
         self._spin_sleep = spin_sleep
         self._scheduler: StealScheduler[_Work] = StealScheduler(self.num_workers)
         self._wakeup = threading.Condition()
@@ -328,13 +257,13 @@ class WorkStealingExecutor(Executor):
         state = work.state
         try:
             if work.task is not None:
-                sub = self._guarded(work.task.run)
+                sub = work.task.run()
                 if sub:
                     self._spawn_subflow(work.task, list(sub), state, worker_id)
                 else:
                     self._release_successors(work.task, state, worker_id)
             else:
-                result = self._guarded(work.fn) if work.fn is not None else None
+                result = work.fn() if work.fn is not None else None
                 extra: List[Callable] = []
                 if callable(result):
                     extra = [result]
@@ -396,6 +325,9 @@ class WorkStealingExecutor(Executor):
     # -- public API ----------------------------------------------------------
 
     def run(self, graph: TaskGraph) -> None:
+        if self._shutdown:
+            # The workers have exited: queued work would never run.
+            raise ExecutorError("cannot run on a closed WorkStealingExecutor")
         graph.validate()
         tasks = graph.tasks
         if not tasks:

@@ -109,12 +109,12 @@ class QTask:
         The child has its own circuit (fresh handles), simulator, block
         directory and observables cache, but its stage stores reference the
         parent's computed blocks until first write -- forking copies no
-        amplitudes.  Edits on either session never perturb the other, and
-        both run on the *shared* executor by default, so many forks can
-        update concurrently (see :class:`~repro.parallel.sweep.SweepRunner`);
-        pass ``executor`` to give the child its own (e.g. a
-        :class:`~repro.parallel.SequentialExecutor` when the parallelism
-        lives one level up, across forks).
+        amplitudes.  Edits on either session never perturb the other.  The
+        child shares the parent's executor by default; pass ``executor`` to
+        give it another (e.g. a :class:`~repro.parallel.SequentialExecutor`
+        when the parallelism lives one level up, across forks).  Either way
+        the executor stays the caller's: closing the child never shuts it
+        down.
 
         Translate parent gate handles with :meth:`handle_for`::
 
@@ -476,9 +476,9 @@ class QTask:
 
         The returned :class:`~repro.core.exec_plan.PlanReport` counts the
         plans compiled across every update so far, the kernel runs batched
-        into them, the executor-visible chunks they were split into and any
-        run-granular fallbacks -- ``runs_per_plan`` is the dispatch work one
-        executor task absorbs compared to one task per partition.
+        into them and any run-granular fallbacks -- ``runs_per_plan`` is the
+        dispatch work one batched backend call absorbs compared to one call
+        per partition.
         """
         return self.simulator.plan_report()
 

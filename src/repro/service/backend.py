@@ -11,9 +11,10 @@ stream says the engine is struggling.
 
 A small dispatcher pool (``max_concurrent_jobs`` threads) drains the queue;
 each job leases a copy-on-write fork of a warm base session from the
-:class:`~repro.service.pool.SessionPool`, so all simulation work of every
-concurrent job lands on ONE shared work-stealing executor (the executor's
-``run`` is re-entrant; external threads park while workers help-execute).
+:class:`~repro.service.pool.SessionPool`.  A job's updates run on its
+dispatcher thread; the shot fleets of every concurrent job fan out on ONE
+shared work-stealing executor (the executor's ``run`` is re-entrant;
+external threads park while workers help-execute).
 
 Telemetry is first-class: every request runs under a ``job.run`` span,
 each finished job's session metrics merge into a per-tenant

@@ -10,9 +10,8 @@ Deep modules (``core/faults``, ``core/kernels``) must not take a
 telemetry object through every signature, and kernel backends are shared
 across forked sessions -- so discovery is ambient: the simulator
 *activates* its bundle on the current thread around an update
-(:func:`activate`/:func:`deactivate`), the executor re-activates it
-inside worker threads from the task's trace context, and anything
-downstream reaches it via :func:`current` or fires events through
+(:func:`activate`/:func:`deactivate`) -- the update runs entirely on that
+thread -- and anything downstream reaches it via :func:`current` or fires events through
 :func:`emit_event` (a no-op when nothing is active, which keeps the
 fault-injection hot path allocation-free for untraced sessions).
 """

@@ -2,10 +2,8 @@
 
 A :class:`Tracer` hands out :class:`Span` context managers.  Parentage is
 implicit through a thread-local "current span" -- opening a span inside
-another (on the same thread) nests it; crossing a thread boundary is
-explicit via :meth:`Tracer.attach`/:meth:`Tracer.detach` (the executor
-threads a ``(telemetry, parent_span_id)`` tuple on task closures and
-attaches it inside ``_guarded``).  Work timed outside any span (a
+another (on the same thread) nests it.  An update opens all of its spans
+on the thread that called ``update_state``.  Work timed outside any span (a
 checkpoint restore, which runs before the session's tracer exists) is
 recorded after the fact with :meth:`Tracer.adopt`.
 
@@ -183,24 +181,6 @@ class Tracer:
             if len(self._spans) == self.capacity:
                 self.dropped += 1
             self._spans.append(record)
-
-    # -- cross-thread propagation -------------------------------------------
-
-    def current_span_id(self) -> Optional[int]:
-        return getattr(self._tls, "span", None)
-
-    def attach(self, span_id: Optional[int]) -> Optional[int]:
-        """Install ``span_id`` as this thread's current span.
-
-        Returns the previous current span id; pass it to :meth:`detach`
-        to restore (use in a ``finally``).
-        """
-        prev = getattr(self._tls, "span", None)
-        self._tls.span = span_id
-        return prev
-
-    def detach(self, prev: Optional[int]) -> None:
-        self._tls.span = prev
 
     # -- cross-process adoption ----------------------------------------------
 

@@ -54,15 +54,6 @@ def test_resolve_block_values():
     assert DirectoryReader(d, 2).resolve_block(0)[0] == 1.0
 
 
-def test_drop_and_clear_update_directory():
-    _, a, b, d = _directory_with_layers()
-    b.store.drop_block(2)
-    assert d.resolve_store(2, 2) is a.store
-    a.store.clear()
-    assert d.resolve_store(2, 2) is d.initial
-    assert d.writers_of(1) == ()
-
-
 def test_detach_purges_entries():
     _, a, b, d = _directory_with_layers()
     d.detach(a)

@@ -50,16 +50,6 @@ def test_write_range_unaligned_raises():
         s.write_range(2, np.zeros(4, dtype=complex))
 
 
-def test_drop_and_clear():
-    s = _store()
-    s.write_block(1, np.zeros(4, dtype=complex))
-    s.drop_block(1)
-    assert not s.has_block(1)
-    s.write_block(1, np.zeros(4, dtype=complex))
-    s.clear()
-    assert s.num_stored_blocks == 0
-
-
 def test_allocated_bytes_counts_only_stored_blocks():
     s = _store()
     assert s.allocated_bytes() == 0
@@ -260,10 +250,10 @@ def test_share_from_copy_on_first_write_releases_refs():
     assert child.get_block(1) is not parent.get_block(1)
     assert child.shared_block_count == 2
     assert parent.exported_block_refs() == {0: 1, 2: 1}
-    # drop and clear release the remaining refs
-    child.drop_block(0)
+    # rebinding the remaining shared blocks releases their refs
+    child.write_block(0, np.zeros(4, dtype=complex))
     assert parent.exported_block_refs() == {2: 1}
-    child.clear()
+    child.write_block(2, np.zeros(4, dtype=complex))
     assert parent.exported_block_refs() == {}
     assert parent.num_exported_blocks == 0
 

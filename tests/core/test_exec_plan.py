@@ -67,22 +67,6 @@ class TestRunTable:
         got = {id(op.op): list(idx) for op, idx in table.groups()}
         assert got == {id(op_a): [0, 2], id(op_b): [1]}
 
-    @pytest.mark.parametrize("parts", [1, 2, 3, 5, 100])
-    def test_split_covers_every_run_once(self, parts):
-        op = object()
-        table = RunTable.from_runs([_spec(4 * i, 4 * i + 3, op) for i in range(5)])
-        chunks = table.split(parts)
-        assert len(chunks) <= max(1, parts)
-        los = np.concatenate([c.los for c in chunks])
-        np.testing.assert_array_equal(los, table.los)
-        # the op table is shared by reference, not copied per chunk
-        assert all(c.ops is table.ops for c in chunks)
-
-    def test_split_empty_table(self):
-        table = RunTable.from_runs([])
-        assert table.num_runs == 0
-        assert len(table.split(4)) == 1
-
 
 # ---------------------------------------------------------------------------
 # build_execution_plan over a real partition graph
@@ -115,18 +99,6 @@ class TestBuildExecutionPlan:
         plan, _ = _plan_for(sim)
         seqs = [sp.stage.seq for sp in plan.stage_plans]
         assert seqs == sorted(seqs)
-
-    def test_edges_point_forward_and_are_unique(self):
-        sim = _simulator(
-            [[Gate("h", (q,)) for q in range(4)], [Gate("cx", (0, 1))],
-             [Gate("cx", (2, 3))], [Gate("rz", (0,), (0.5,))]]
-        )
-        plan, _ = _plan_for(sim)
-        seq_of = {sp.stage.uid: sp.stage.seq for sp in plan.stage_plans}
-        assert len(set(plan.edges)) == len(plan.edges)
-        for pred, succ in plan.edges:
-            assert pred != succ
-            assert seq_of[pred] < seq_of[succ]
 
     def test_static_stage_runs_frozen_at_build_time(self):
         # z is diagonal -> UnitaryStage, whose emission is input-independent
@@ -174,7 +146,6 @@ class TestPlanReport:
         report = PlanReport(
             plans_built=4,
             runs_batched=40,
-            plan_chunks=4,
             backend_fallbacks=0,
             updates_planned=2,
         )
@@ -182,5 +153,5 @@ class TestPlanReport:
         assert report.as_dict()["runs_per_plan"] == 10.0
 
     def test_zero_plans_zero_ratio(self):
-        report = PlanReport(0, 0, 0, 0, 0)
+        report = PlanReport(0, 0, 0, 0)
         assert report.runs_per_plan == 0.0

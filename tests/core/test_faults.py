@@ -9,6 +9,7 @@ lives in ``test_fault_recovery.py``.
 from __future__ import annotations
 
 import pickle
+import threading
 
 import pytest
 
@@ -79,12 +80,12 @@ def test_site_streams_are_independent():
 
 
 def test_scripted_trigger_fires_on_exact_occurrence():
-    plan = FaultPlan(script=[("executor.task", 3), ("executor.task", 5)])
-    decisions = [plan.should_fire("executor.task") for _ in range(6)]
+    plan = FaultPlan(script=[("kernel.run", 3), ("kernel.run", 5)])
+    decisions = [plan.should_fire("kernel.run") for _ in range(6)]
     assert [d[0] for d in decisions] == [False, False, True, False, True, False]
     assert [d[1] for d in decisions] == [1, 2, 3, 4, 5, 6]
     # other sites are untouched
-    assert plan.should_fire("kernel.run") == (False, 1)
+    assert plan.should_fire("cow.publish") == (False, 1)
 
 
 def test_scripted_hits_do_not_shift_probabilistic_draws():
@@ -100,12 +101,12 @@ def test_scripted_hits_do_not_shift_probabilistic_draws():
 
 def test_reset_rewinds_counters_and_streams():
     plan = FaultPlan(seed=11, probability=0.5)
-    first = [plan.should_fire("executor.task")[0] for _ in range(30)]
-    assert plan.stats()["executor.task"]["calls"] == 30
+    first = [plan.should_fire("kernel.run")[0] for _ in range(30)]
+    assert plan.stats()["kernel.run"]["calls"] == 30
     plan.reset()
     assert plan.stats() == {}
     assert plan.total_injected() == 0
-    replay = [plan.should_fire("executor.task")[0] for _ in range(30)]
+    replay = [plan.should_fire("kernel.run")[0] for _ in range(30)]
     assert replay == first
 
 
@@ -148,6 +149,30 @@ def test_armed_scope_is_reentrant():
             assert faults.is_armed()
         assert faults.is_armed()
     assert not faults.is_armed()
+
+
+def test_armed_scope_arms_only_its_own_thread():
+    """An update armed on one thread must not make another thread fire."""
+    faults.install(FaultPlan(probability=1.0))
+    entered = threading.Event()
+    release = threading.Event()
+
+    def hold_armed():
+        with faults.armed():
+            entered.set()
+            release.wait(timeout=10)
+
+    holder = threading.Thread(target=hold_armed)
+    holder.start()
+    try:
+        assert entered.wait(timeout=10)
+        assert not faults.is_armed()
+        faults.fire("cow.publish")  # inert on this thread
+        assert faults.active_plan().stats() == {}
+    finally:
+        release.set()
+        holder.join(timeout=10)
+    assert not holder.is_alive()
 
 
 def test_install_returns_previous_plan():
@@ -201,10 +226,9 @@ def test_plan_from_env_enables_every_site():
 
 def test_plan_from_env_site_whitelist():
     plan = faults.plan_from_env(
-        {"QTASK_FAULT_P": "1.0", "QTASK_FAULT_SITES": "cow.publish, executor.task"}
+        {"QTASK_FAULT_P": "1.0", "QTASK_FAULT_SITES": " cow.publish, "}
     )
     assert plan.should_fire("cow.publish")[0]
-    assert plan.should_fire("executor.task")[0]
     assert not plan.should_fire("kernel.run")[0]
 
 

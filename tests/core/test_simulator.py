@@ -79,6 +79,22 @@ def test_external_executor_is_not_closed():
     executor.map(lambda x: x, [1, 2])
 
 
+def test_fork_never_closes_the_callers_executor():
+    pool = WorkStealingExecutor(2)
+    try:
+        ckt = Circuit(2)
+        ckt.from_levels(BELL_LEVELS)
+        with QTaskSimulator(ckt, block_size=2) as sim:
+            sim.fork(executor=pool).close()
+            sim.fork().close()  # shares the parent's own executor
+            # the parent's executor survived its fork's close, too
+            sim.executor.map(lambda x: x, [1])
+        # a closed pool would raise ExecutorError here
+        assert pool.map(lambda x: x * 2, [1, 2]) == [2, 4]
+    finally:
+        pool.close()
+
+
 def test_executor_and_workers_are_mutually_exclusive():
     ckt = Circuit(2)
     with pytest.raises(Exception):

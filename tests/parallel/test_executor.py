@@ -190,6 +190,17 @@ def test_executor_context_manager():
         assert ex.map(lambda x: x + 1, [1, 2, 3]) == [2, 3, 4]
 
 
+def test_work_stealing_executor_rejects_work_after_close():
+    ex = WorkStealingExecutor(2)
+    ex.close()
+    graph = TaskGraph("late")
+    graph.emplace(lambda: None, name="t")
+    with pytest.raises(ExecutorError, match="closed"):
+        ex.run(graph)
+    with pytest.raises(ExecutorError, match="closed"):
+        ex.map(lambda x: x, [1, 2])
+
+
 # ---------------------------------------------------------------------------
 # chunking
 # ---------------------------------------------------------------------------

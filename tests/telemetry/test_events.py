@@ -101,7 +101,7 @@ def test_explain_last_update_renders_recovery_events():
         sim.update_state()
         text = sim.explain_last_update()
         assert "update #0" in text
-        assert "plan chunks total" in text
+        assert "block writes" in text
         assert "recovery events" in text and "none" not in text
         assert "fault.injected" in text
         assert "site=cow.publish" in text

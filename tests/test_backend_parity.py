@@ -10,6 +10,7 @@ chunk routed through the per-run fallback) and the dense oracle must agree to
 from __future__ import annotations
 
 import random
+import threading
 
 import numpy as np
 import pytest
@@ -195,13 +196,12 @@ def test_forked_sessions_match_dense(backend):
 
 
 # ---------------------------------------------------------------------------
-# executor interplay: plan chunking across a real worker pool
+# executor interplay: updates run in order on the calling thread
 # ---------------------------------------------------------------------------
 
 
 def test_plan_chunking_on_work_stealing_pool():
-    """A wide executor splits run tables into chunk subflows; the state
-    still matches the dense reference."""
+    """A session handed a 4-worker pool still matches the dense reference."""
     from repro.parallel import WorkStealingExecutor
 
     num_qubits = 6
@@ -214,6 +214,33 @@ def test_plan_chunking_on_work_stealing_pool():
         sim.update_state()
         expected = reference_state(num_qubits, levels)
         np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
-        assert sim.plan_report().plan_chunks >= sim.plan_report().plans_built
     finally:
         executor.close()
+
+
+def test_update_runs_every_stage_table_on_the_calling_thread(monkeypatch):
+    """In a 2-worker session, every batched kernel call of an update runs
+    on the thread that called ``update_state``."""
+    from repro.core.kernels import NumpyBatchBackend
+
+    threads = []
+    original = NumpyBatchBackend.execute_plan
+
+    def spy(self, reader, store, table):
+        threads.append(threading.get_ident())
+        return original(self, reader, store, table)
+
+    monkeypatch.setattr(NumpyBatchBackend, "execute_plan", spy)
+    num_qubits = 6
+    levels = random_levels(random.Random(7), num_qubits, 8)
+    circuit = Circuit(num_qubits)
+    circuit.from_levels(levels)
+    with QTaskSimulator(circuit, block_size=4, num_workers=2) as sim:
+        sim.update_state()
+        net = circuit.insert_net()
+        circuit.insert_gate("rz", net, 1, params=[0.3])
+        sim.update_state()
+        expected = reference_state(num_qubits, circuit_levels(circuit))
+        np.testing.assert_allclose(sim.state(), expected, atol=ATOL, rtol=0)
+    assert len(threads) > 1
+    assert set(threads) == {threading.get_ident()}
